@@ -92,7 +92,16 @@ runDirection(const char *label, Frequency base, Frequency target,
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("ablation_estimators",
+                        "per-thread estimator ladder inside DEP");
+    args.add("dir", "up|down|both",
+             "prediction direction(s) to print (default both)")
+        .add("only", "NAME", "run a single DaCapo benchmark")
+        .addTraceDir("replay recorded .dvfstrace files from DIR "
+                     "(recording them first if absent)")
+        .addWorkers()
+        .addBool("progress", "progress/ETA lines on stderr");
+    args.parse(argc, argv);
     const std::string dir = args.get("dir", "both");
     const std::string only = args.get("only");
     const std::string trace_dir = args.get("trace-dir");
@@ -109,7 +118,7 @@ main(int argc, char **argv)
     spec.frequencies = {Frequency::ghz(1.0), Frequency::ghz(4.0)};
 
     exp::sweep::SweepRunner::Options opts;
-    opts.workers = bench::sweepWorkers(args);
+    opts.workers = bench::workersFromArgs(args);
     opts.progress = args.has("progress");
     opts.label = "ablation";
     auto grid = exp::sweep::observeGrid(spec, opts, trace_dir);

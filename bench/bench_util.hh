@@ -9,19 +9,16 @@
  * canned addWorkers()/addMode()/addSampling()/addRepeat()/addJson()
  * declarations keep the flags every harness shares spelled — and
  * documented — identically across binaries.
- *
- * The worker/mode/sampling helpers are templates over any args-like
- * type (FlagSet or the legacy Args) exposing get/has/getInt.
  */
 
 #ifndef DVFS_BENCH_BENCH_UTIL_HH
 #define DVFS_BENCH_BENCH_UTIL_HH
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp/sweep/pool.hh"
@@ -31,73 +28,6 @@
 #include "wl/suite.hh"
 
 namespace dvfs::bench {
-
-/** Minimal flag parser: --key=value and boolean --key. */
-class Args
-{
-  public:
-    Args(int argc, char **argv)
-    {
-        for (int i = 1; i < argc; ++i)
-            _args.emplace_back(argv[i]);
-    }
-
-    std::string
-    get(const std::string &key, const std::string &def = "") const
-    {
-        const std::string prefix = "--" + key + "=";
-        for (const auto &a : _args) {
-            if (a.rfind(prefix, 0) == 0)
-                return a.substr(prefix.size());
-        }
-        return def;
-    }
-
-    bool
-    has(const std::string &key) const
-    {
-        const std::string flag = "--" + key;
-        const std::string prefix = flag + "=";
-        for (const auto &a : _args) {
-            if (a == flag || a.rfind(prefix, 0) == 0)
-                return true;
-        }
-        return false;
-    }
-
-    double
-    getDouble(const std::string &key, double def) const
-    {
-        std::string v = get(key);
-        if (v.empty())
-            return def;
-        char *end = nullptr;
-        double parsed = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0') {
-            fatal("--%s: expected a number, got '%s'", key.c_str(),
-                  v.c_str());
-        }
-        return parsed;
-    }
-
-    long
-    getInt(const std::string &key, long def) const
-    {
-        std::string v = get(key);
-        if (v.empty())
-            return def;
-        char *end = nullptr;
-        long parsed = std::strtol(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0') {
-            fatal("--%s: expected an integer, got '%s'", key.c_str(),
-                  v.c_str());
-        }
-        return parsed;
-    }
-
-  private:
-    std::vector<std::string> _args;
-};
 
 /**
  * Declared-flags CLI parser with a generated --help.
@@ -291,29 +221,55 @@ class FlagSet
     long
     getInt(const std::string &key, long def) const
     {
-        std::string v = get(key);
-        if (v.empty())
-            return def;
-        char *end = nullptr;
-        long parsed = std::strtol(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0') {
-            fatal("--%s: expected an integer, got '%s'", key.c_str(),
-                  v.c_str());
-        }
-        return parsed;
+        const std::string v = get(key);
+        return v.empty() ? def : parseInt(key, v);
     }
 
     double
     getDouble(const std::string &key, double def) const
     {
-        std::string v = get(key);
+        const std::string v = get(key);
+        return v.empty() ? def : parseDouble(key, v);
+    }
+
+    /**
+     * Comma-separated integers. @p def is spelled as on the command
+     * line; an empty or malformed item is fatal(), naming the flag.
+     */
+    std::vector<long>
+    getIntList(const std::string &key, const std::string &def) const
+    {
+        std::vector<long> out;
+        for (const std::string &item : split(key, def))
+            out.push_back(parseInt(key, item));
+        return out;
+    }
+
+    /** Comma-separated numbers, as getIntList(). */
+    std::vector<double>
+    getDoubleList(const std::string &key, const std::string &def) const
+    {
+        std::vector<double> out;
+        for (const std::string &item : split(key, def))
+            out.push_back(parseDouble(key, item));
+        return out;
+    }
+
+    /** A 64-bit hex value, with or without a 0x prefix. */
+    std::uint64_t
+    getHex(const std::string &key, std::uint64_t def) const
+    {
+        const std::string v = get(key);
         if (v.empty())
             return def;
-        char *end = nullptr;
-        double parsed = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0') {
-            fatal("--%s: expected a number, got '%s'", key.c_str(),
-                  v.c_str());
+        const bool prefixed = v.rfind("0x", 0) == 0 || v.rfind("0X", 0) == 0;
+        const char *last = v.data() + v.size();
+        std::uint64_t parsed = 0;
+        const auto [end, ec] = std::from_chars(
+            v.data() + (prefixed ? 2 : 0), last, parsed, 16);
+        if (ec != std::errc() || end != last) {
+            fatal("--%s: expected a 64-bit hex value, got '%s'",
+                  key.c_str(), v.c_str());
         }
         return parsed;
     }
@@ -352,6 +308,47 @@ class FlagSet
             _values.emplace_back(f.key, "");
     }
 
+    static long
+    parseInt(const std::string &key, const std::string &v)
+    {
+        char *end = nullptr;
+        const long parsed = std::strtol(v.c_str(), &end, 10);
+        if (end == v.c_str() || *end != '\0') {
+            fatal("--%s: expected an integer, got '%s'", key.c_str(),
+                  v.c_str());
+        }
+        return parsed;
+    }
+
+    static double
+    parseDouble(const std::string &key, const std::string &v)
+    {
+        char *end = nullptr;
+        const double parsed = std::strtod(v.c_str(), &end);
+        if (end == v.c_str() || *end != '\0') {
+            fatal("--%s: expected a number, got '%s'", key.c_str(),
+                  v.c_str());
+        }
+        return parsed;
+    }
+
+    /** --key's comma-separated items (or @p def's), empty ones kept. */
+    std::vector<std::string>
+    split(const std::string &key, const std::string &def) const
+    {
+        const std::string v = get(key);
+        const std::string &csv = v.empty() ? def : v;
+        std::vector<std::string> items;
+        std::size_t pos = 0;
+        for (;;) {
+            const std::size_t comma = csv.find(',', pos);
+            items.push_back(csv.substr(pos, comma - pos));
+            if (comma == std::string::npos)
+                return items;
+            pos = comma + 1;
+        }
+    }
+
     void
     requireDeclared(const std::string &key) const
     {
@@ -370,84 +367,28 @@ class FlagSet
     std::vector<std::pair<std::string, std::string>> _values;
 };
 
-/** Hardware thread count, never zero. */
-inline unsigned
-hardwareWidth()
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
 /**
- * A harness binary's sweep pool width, with provenance.
- *
- * An explicit --workers=N flag or DVFS_SWEEP_WORKERS env var is
- * honored verbatim (oversubscription on purpose stays possible);
- * otherwise the default is the hardware width — i.e. defaults are
- * clamped to hardware_concurrency(), since oversubscribing a sweep of
- * CPU-bound cells only adds scheduling noise (BENCH_sweep.json shows
- * workers=8 at 0.86x serial on a single-thread host). Both the
- * requested and the effective width go into the JSONL record so the
- * perf trajectory stays interpretable across hosts.
- */
-struct WorkerChoice {
-    unsigned requested;  ///< what flag/env/default asked for
-    unsigned effective;  ///< what the pool will actually use
-    bool isExplicit;     ///< came from --workers or DVFS_SWEEP_WORKERS
-};
-
-template <typename ArgsT>
-inline WorkerChoice
-chooseWorkers(const ArgsT &args)
-{
-    long v = args.getInt("workers", 0);
-    if (v >= 1) {
-        auto w = static_cast<unsigned>(v);
-        return {w, w, true};
-    }
-    if (const char *env = std::getenv("DVFS_SWEEP_WORKERS")) {
-        char *end = nullptr;
-        long ev = std::strtol(env, &end, 10);
-        if (end != env && ev >= 1) {
-            auto w = static_cast<unsigned>(ev);
-            return {w, w, true};
-        }
-    }
-    unsigned hw = hardwareWidth();
-    return {hw, hw, false};
-}
-
-/**
- * Clamp a default (non-explicit) worker count to the hardware width.
- * Explicit choices pass through untouched.
+ * Sweep pool width: --workers=N if given (fatal below 1), else
+ * exp::sweep::defaultWorkers() — DVFS_SWEEP_WORKERS or the hardware
+ * thread count.
  */
 inline unsigned
-clampWorkers(unsigned w, bool is_explicit)
+workersFromArgs(const FlagSet &args)
 {
-    if (is_explicit)
-        return w;
-    unsigned hw = hardwareWidth();
-    return w < hw ? w : hw;
-}
-
-/**
- * Sweep pool width for a harness binary: --workers=N if given, else
- * DVFS_SWEEP_WORKERS / hardware_concurrency via defaultWorkers().
- */
-template <typename ArgsT>
-inline unsigned
-sweepWorkers(const ArgsT &args)
-{
-    return chooseWorkers(args).effective;
+    if (args.get("workers").empty())
+        return exp::sweep::defaultWorkers();
+    const long w = args.getInt("workers", 0);
+    if (w < 1)
+        fatal("--workers: expected a pool width of at least 1, got %ld", w);
+    return static_cast<unsigned>(w);
 }
 
 /**
  * Simulation mode from --mode=exact|sampled (default exact).
  * fatal()s on any other value, naming the flag.
  */
-template <typename ArgsT>
 inline exp::SimMode
-modeFromArgs(const ArgsT &args)
+modeFromArgs(const FlagSet &args)
 {
     return exp::parseSimMode(args.get("mode", "exact"), "--mode");
 }
@@ -457,32 +398,21 @@ modeFromArgs(const ArgsT &args)
  * --gap-us, defaulting to the library's measured sweet spot
  * (sim::SamplingConfig). Only meaningful with --mode=sampled.
  */
-template <typename ArgsT>
 inline sim::SamplingConfig
-samplingFromArgs(const ArgsT &args)
+samplingFromArgs(const FlagSet &args)
 {
     sim::SamplingConfig cfg;
-    cfg.startupDetail = static_cast<Tick>(args.getInt(
-                            "startup-us",
-                            static_cast<long>(cfg.startupDetail /
-                                              kTicksPerUs))) *
-                        kTicksPerUs;
-    cfg.detailWindow = static_cast<Tick>(args.getInt(
-                           "detail-us",
-                           static_cast<long>(cfg.detailWindow /
-                                             kTicksPerUs))) *
-                       kTicksPerUs;
-    cfg.gapWindow = static_cast<Tick>(args.getInt(
-                        "gap-us",
-                        static_cast<long>(cfg.gapWindow / kTicksPerUs))) *
-                    kTicksPerUs;
+    auto us = [&](const char *key, Tick def) {
+        return static_cast<Tick>(args.getInt(
+                   key, static_cast<long>(def / kTicksPerUs))) *
+               kTicksPerUs;
+    };
+    cfg.startupDetail = us("startup-us", cfg.startupDetail);
+    cfg.detailWindow = us("detail-us", cfg.detailWindow);
+    cfg.gapWindow = us("gap-us", cfg.gapWindow);
     // Adaptive placement: --max-gap-us caps the stretched gap (0 =
     // fixed cadence), --drift-permille sets the steadiness threshold.
-    cfg.maxGapWindow =
-        static_cast<Tick>(args.getInt(
-            "max-gap-us",
-            static_cast<long>(cfg.maxGapWindow / kTicksPerUs))) *
-        kTicksPerUs;
+    cfg.maxGapWindow = us("max-gap-us", cfg.maxGapWindow);
     cfg.driftThresholdPermille = static_cast<std::uint32_t>(args.getInt(
         "drift-permille",
         static_cast<long>(cfg.driftThresholdPermille)));

@@ -57,7 +57,7 @@ main(int argc, char **argv)
     serve::ServerConfig cfg;
     cfg.tcpPort = static_cast<std::uint16_t>(args.getInt("port", 0));
     cfg.unixPath = args.get("unix");
-    cfg.workers = bench::chooseWorkers(args).effective;
+    cfg.workers = bench::workersFromArgs(args);
     cfg.cacheBytes =
         static_cast<std::size_t>(args.getInt("cache-mb", 256)) << 20;
     cfg.maxInFlight =

@@ -91,12 +91,14 @@ main(int argc, char **argv)
         static_cast<std::size_t>(args.getInt("benchmarks", 4));
     const auto n_seeds = static_cast<std::size_t>(args.getInt("seeds", 1));
     const std::string json_path = args.get("json", "BENCH_sweep.json");
-    const unsigned workers = bench::sweepWorkers(args);
+    const unsigned workers = bench::workersFromArgs(args);
     const auto repeat =
         static_cast<unsigned>(std::max(1L, args.getInt("repeat", 1)));
     const double fail_err = args.getDouble("fail-err-pct", 0.0);
     const double fail_speedup = args.getDouble("fail-speedup", 0.0);
-    const std::string expect_fp = args.get("expect-managed-fingerprint");
+    const bool pin_fp = args.has("expect-managed-fingerprint");
+    const std::uint64_t want_fp =
+        args.getHex("expect-managed-fingerprint", 0);
 
     const sim::SamplingConfig cfg = bench::samplingFromArgs(args);
 
@@ -223,13 +225,12 @@ main(int argc, char **argv)
                   << " bound\n";
         failed = true;
     }
-    if (!expect_fp.empty()) {
-        const std::uint64_t want = std::stoull(expect_fp, nullptr, 16);
-        if (best.sampledDigest != want) {
+    if (pin_fp) {
+        if (best.sampledDigest != want_fp) {
             std::cerr << "fig10_managed_sampling: sampled managed "
                          "fingerprint "
                       << std::hex << best.sampledDigest
-                      << " does not match expected " << want << std::dec
+                      << " does not match expected " << want_fp << std::dec
                       << " — the managed sampled path drifted\n";
             failed = true;
         } else {

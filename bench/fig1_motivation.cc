@@ -11,7 +11,6 @@
  */
 
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "bench_util.hh"
@@ -24,15 +23,15 @@ using namespace dvfs;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("fig1_motivation",
+                        "M+CRIT vs DEP+BURST prediction error "
+                        "(Figure 1)");
+    args.add("targets", "MHZ,...",
+             "target frequencies in MHz (default 2000,3000,4000)");
+    args.parse(argc, argv);
     std::vector<Frequency> targets;
-    {
-        std::stringstream ss(args.get("targets", "2000,3000,4000"));
-        std::string item;
-        while (std::getline(ss, item, ','))
-            targets.push_back(Frequency::mhz(
-                static_cast<std::uint32_t>(std::stoul(item))));
-    }
+    for (long mhz : args.getIntList("targets", "2000,3000,4000"))
+        targets.push_back(Frequency::mhz(static_cast<std::uint32_t>(mhz)));
     const Frequency base = Frequency::ghz(1.0);
 
     pred::MCritPredictor mcrit({pred::BaseEstimator::Crit, false});

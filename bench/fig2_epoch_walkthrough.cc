@@ -9,12 +9,18 @@
  * trace, (b) the epoch decomposition with per-thread busy time, and
  * (c)/(d) the per-epoch vs across-epoch CTP predictions for a target
  * frequency — the exact narrative of Figure 2.
+ *
+ * Usage: fig2_epoch_walkthrough [--csv=PREFIX]
+ *
+ * --csv also writes PREFIX_epochs.csv, PREFIX_events.csv and
+ * PREFIX_threads.csv next to the human-readable walkthrough.
  */
 
 #include <fstream>
 #include <iostream>
 #include <memory>
 
+#include "bench_util.hh"
 #include "exp/export.hh"
 #include "exp/table.hh"
 #include "pred/predictors.hh"
@@ -85,6 +91,14 @@ class WaiterProgram : public os::ThreadProgram
 int
 main(int argc, char **argv)
 {
+    bench::FlagSet args("fig2_epoch_walkthrough",
+                        "the worked epoch-decomposition example "
+                        "(Figure 2)");
+    args.add("csv", "PREFIX",
+             "also write PREFIX_{epochs,events,threads}.csv");
+    args.parse(argc, argv);
+    const std::string prefix = args.get("csv");
+
     os::SystemConfig cfg = wl::defaultSystemConfig(Frequency::ghz(1.0));
     cfg.cores = 2;
     os::System sys(cfg);
@@ -136,10 +150,7 @@ main(int argc, char **argv)
     const Frequency target = Frequency::ghz(2.0);
     pred::DepPredictor per_epoch({pred::BaseEstimator::Crit, true}, false);
     pred::DepPredictor across({pred::BaseEstimator::Crit, true}, true);
-    if (argc > 1) {
-        // Optional: dump the machine-readable artifacts next to the
-        // human-readable walkthrough.
-        std::string prefix = argv[1];
+    if (!prefix.empty()) {
         std::ofstream fe(prefix + "_epochs.csv");
         exp::writeEpochsCsv(fe, record);
         std::ofstream fv(prefix + "_events.csv");

@@ -140,7 +140,7 @@ main(int argc, char **argv)
     }
 
     exp::sweep::SweepRunner::Options opts;
-    opts.workers = bench::sweepWorkers(args);
+    opts.workers = bench::workersFromArgs(args);
     opts.progress = args.has("progress");
     opts.label = "fig3";
     auto grid = exp::sweep::observeGrid(spec, opts, trace_dir);

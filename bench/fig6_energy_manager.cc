@@ -30,7 +30,6 @@
  */
 
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "bench_util.hh"
@@ -42,21 +41,26 @@ using namespace dvfs;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("fig6_energy_manager",
+                        "energy savings under the DEP+BURST manager "
+                        "(Figure 6)");
+    args.add("only", "NAME", "run a single DaCapo benchmark")
+        .add("quantum-us", "N", "manager quantum in us (default 50)")
+        .add("thresholds", "X,...",
+             "tolerable slowdowns (default 0.05,0.10)")
+        .addMode()
+        .addSampling()
+        .addWorkers()
+        .addBool("progress", "progress/ETA lines on stderr");
+    args.parse(argc, argv);
     const std::string only = args.get("only");
     const Tick quantum = static_cast<Tick>(args.getInt("quantum-us", 50)) *
                          kTicksPerUs;
-
-    std::vector<double> thresholds;
-    {
-        std::stringstream ss(args.get("thresholds", "0.05,0.10"));
-        std::string item;
-        while (std::getline(ss, item, ','))
-            thresholds.push_back(std::stod(item));
-    }
+    const std::vector<double> thresholds =
+        args.getDoubleList("thresholds", "0.05,0.10");
 
     auto table_vf = power::VfTable::haswell();
-    const unsigned workers = bench::sweepWorkers(args);
+    const unsigned workers = bench::workersFromArgs(args);
     const bool progress = args.has("progress");
     const exp::SimMode mode = bench::modeFromArgs(args);
     const sim::SamplingConfig sampling = bench::samplingFromArgs(args);

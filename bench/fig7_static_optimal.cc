@@ -40,7 +40,17 @@ using namespace dvfs;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("fig7_static_optimal",
+                        "dynamic manager vs static-optimal oracle "
+                        "(Figure 7)");
+    args.add("threshold", "X", "tolerable slowdown (default 0.10)")
+        .add("step-mhz", "N", "oracle sweep step in MHz (default 250)")
+        .add("only", "NAME", "run a single DaCapo benchmark")
+        .addMode()
+        .addSampling()
+        .addWorkers()
+        .addBool("progress", "progress/ETA lines on stderr");
+    args.parse(argc, argv);
     const std::string only = args.get("only");
     const double threshold = args.getDouble("threshold", 0.10);
     const auto step =
@@ -49,7 +59,7 @@ main(int argc, char **argv)
     auto fine_vf = power::VfTable::haswell();          // manager: 125 MHz
     auto sweep_vf = power::VfTable::haswell(step);     // oracle sweep
 
-    const unsigned workers = bench::sweepWorkers(args);
+    const unsigned workers = bench::workersFromArgs(args);
     const bool progress = args.has("progress");
     const exp::SimMode mode = bench::modeFromArgs(args);
     const sim::SamplingConfig sampling = bench::samplingFromArgs(args);

@@ -129,7 +129,18 @@ watchdogDemo(const power::VfTable &table, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("fig8_fault_tolerance",
+                        "hardened energy manager under injected faults "
+                        "(Figure 8)");
+    args.add("seed", "N", "fault-plan seed (default 1445)")
+        .add("threshold", "X", "tolerable slowdown (default 0.05)")
+        .add("epsilon", "X",
+             "slack on top of the threshold in the bound (default "
+             "0.05)")
+        .add("threads", "N", "workload threads (default 4)")
+        .add("items", "N", "work items per thread (default 600)")
+        .add("quantum-us", "N", "manager quantum in us (default 50)");
+    args.parse(argc, argv);
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1445));
     const double threshold = args.getDouble("threshold", 0.05);
     const double epsilon = args.getDouble("epsilon", 0.05);

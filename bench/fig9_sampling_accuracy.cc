@@ -52,22 +52,6 @@ using namespace dvfs;
 
 namespace {
 
-/** Parse a comma-separated list of microsecond values. */
-std::vector<long>
-parseGapList(const std::string &csv)
-{
-    std::vector<long> us;
-    std::size_t pos = 0;
-    while (pos < csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        us.push_back(std::stol(csv.substr(pos, comma - pos)));
-        pos = comma + 1;
-    }
-    return us;
-}
-
 /** Per-predictor envelopes as a JSON array for the trajectory row. */
 std::string
 predictorsJson(const exp::sweep::ModeComparison &cmp)
@@ -117,15 +101,17 @@ main(int argc, char **argv)
     const auto n_seeds = static_cast<std::size_t>(args.getInt("seeds", 1));
     const std::string json_path = args.get("json", "BENCH_sweep.json");
     const bool progress = args.has("progress");
-    const unsigned workers = bench::sweepWorkers(args);
+    const unsigned workers = bench::workersFromArgs(args);
     const auto repeat =
         static_cast<unsigned>(std::max(1L, args.getInt("repeat", 1)));
     const double fail_err = args.getDouble("fail-err-pct", 0.0);
     const double fail_speedup = args.getDouble("fail-speedup", 0.0);
-    const std::string expect_fp = args.get("expect-sampled-fingerprint");
+    const bool pin_fp = args.has("expect-sampled-fingerprint");
+    const std::uint64_t want_fp =
+        args.getHex("expect-sampled-fingerprint", 0);
 
     const sim::SamplingConfig base = bench::samplingFromArgs(args);
-    const std::vector<long> gaps_us = parseGapList(args.get("gaps", "980"));
+    const std::vector<long> gaps_us = args.getIntList("gaps", "980");
 
     exp::sweep::SweepSpec spec = bench::fig3GridSpec(n_bench);
     spec.seeds = exp::sweep::SweepSpec::replicateSeeds(42, n_seeds);
@@ -280,12 +266,11 @@ main(int argc, char **argv)
             failed = true;
         }
     }
-    if (!expect_fp.empty()) {
-        const std::uint64_t want = std::stoull(expect_fp, nullptr, 16);
-        if (head.sampledDigest != want) {
+    if (pin_fp) {
+        if (head.sampledDigest != want_fp) {
             std::cerr << "fig9_sampling_accuracy: sampled fingerprint "
                       << std::hex << head.sampledDigest
-                      << " does not match expected " << want << std::dec
+                      << " does not match expected " << want_fp << std::dec
                       << " — the sampled fast path drifted\n";
             failed = true;
         } else {

@@ -200,20 +200,16 @@ struct WorkerCfg {
  * honored verbatim (alongside the serial reference).
  */
 std::vector<WorkerCfg>
-trajectoryWorkers(long explicit_workers)
+trajectoryWorkers(unsigned explicit_workers)
 {
-    std::vector<WorkerCfg> cfgs;
-    if (explicit_workers >= 1) {
-        auto w = static_cast<unsigned>(explicit_workers);
-        cfgs.push_back({1, 1});
-        if (w != 1)
-            cfgs.push_back({w, w});
+    std::vector<WorkerCfg> cfgs = {{1, 1}};
+    if (explicit_workers != 0) {
+        if (explicit_workers != 1)
+            cfgs.push_back({explicit_workers, explicit_workers});
         return cfgs;
     }
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    for (unsigned w : {1u, 2u, 8u}) {
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned w : {2u, 8u}) {
         const unsigned eff = std::min(w, hw);
         bool dup = false;
         for (const auto &c : cfgs)
@@ -235,7 +231,8 @@ trajectoryWorkers(long explicit_workers)
  */
 bool
 emitSweepTrajectory(exp::SimMode mode, unsigned repeat,
-                    long explicit_workers, const std::string &json_path)
+                    unsigned explicit_workers,
+                    const std::string &json_path)
 {
     exp::sweep::SweepSpec spec;
     spec.workloads = {wl::syntheticSmall(2, 40)};
@@ -296,7 +293,8 @@ main(int argc, char **argv)
         .add("repeat", "N",
              "repeats per worker count, min wall recorded")
         .add("workers", "N",
-             "measure only this pool width (default ladder 1,2,8)")
+             "measure the serial reference plus this pool width "
+             "(default ladder 1,2,8)")
         .add("json", "PATH",
              "trajectory file (default BENCH_sweep.json)");
     argc = flags.parseKnown(argc, argv);
@@ -304,7 +302,8 @@ main(int argc, char **argv)
     const auto repeat = static_cast<unsigned>(
         std::max(1L, flags.getInt("repeat", 1)));
     // 0: default ladder, clamped to hardware width
-    const long workers = flags.getInt("workers", 0);
+    const unsigned workers =
+        flags.get("workers").empty() ? 0 : bench::workersFromArgs(flags);
     const std::string json_path =
         flags.get("json", "BENCH_sweep.json");
     const exp::SimMode mode = bench::modeFromArgs(flags);

@@ -207,8 +207,9 @@ main(int argc, char **argv)
              "workloads from the DaCapo suite (default 4)")
         .add("seeds", "N", "replicate seeds per workload (default 1)")
         .add("workers", "N",
-             "measure only this pool width (default: 1,2,4,... up to "
-             "hardware)")
+             "after the serial reference and the 1,2,4,... ladder up "
+             "to hardware threads, also measure this pool width "
+             "(default: DVFS_SWEEP_WORKERS or hardware threads)")
         .addMode()
         .addSampling()
         .addBool("managed",
@@ -228,7 +229,7 @@ main(int argc, char **argv)
     const auto n_seeds = static_cast<std::size_t>(args.getInt("seeds", 1));
     const std::string json_path = args.get("json", "BENCH_sweep.json");
     const bool progress = args.has("progress");
-    const bench::WorkerChoice choice = bench::chooseWorkers(args);
+    const unsigned workers = bench::workersFromArgs(args);
     const auto repeat = static_cast<unsigned>(
         std::max(1L, args.getInt("repeat", 1)));
 
@@ -238,7 +239,8 @@ main(int argc, char **argv)
                      "compiled in (configure with -DDVFS_PROFILE=ON)\n";
         profiling = false;
     }
-    const std::string expect_fp = args.get("expect-fingerprint");
+    const bool pin_fp = args.has("expect-fingerprint");
+    const std::uint64_t want_fp = args.getHex("expect-fingerprint", 0);
     const exp::SimMode mode = bench::modeFromArgs(args);
     const sim::SamplingConfig sampling = bench::samplingFromArgs(args);
     const bool managed = args.has("managed");
@@ -259,7 +261,7 @@ main(int argc, char **argv)
                                   ? spec.workloads.size() *
                                         spec.seeds.size()
                                   : spec.cellCount();
-    const unsigned hw = bench::hardwareWidth();
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
     if (managed) {
         std::cout << "sweep_bench: " << spec.workloads.size()
@@ -277,18 +279,16 @@ main(int argc, char **argv)
     }
 
     // Worker counts to measure: serial reference first, then powers
-    // of two up to the hardware width. An explicit --workers /
-    // DVFS_SWEEP_WORKERS is measured as asked, even beyond the
-    // hardware width; the default list never oversubscribes.
+    // of two up to the hardware width, then the --workers /
+    // DVFS_SWEEP_WORKERS width if the ladder lacks it (measured as
+    // asked, even beyond the hardware width).
     std::vector<unsigned> counts = {1};
     for (unsigned w = 2; w <= hw; w *= 2)
         counts.push_back(w);
     if (hw > 1 && counts.back() != hw)
         counts.push_back(hw);
-    if (choice.isExplicit && choice.requested > 1 &&
-        std::find(counts.begin(), counts.end(), choice.requested) ==
-            counts.end())
-        counts.push_back(choice.requested);
+    if (std::find(counts.begin(), counts.end(), workers) == counts.end())
+        counts.push_back(workers);
 
     exp::RunOptions managed_opts;
     managed_opts.mode = mode;
@@ -360,13 +360,11 @@ main(int argc, char **argv)
     }
     std::cout << "all fingerprints match the serial reference\n";
 
-    if (!expect_fp.empty()) {
-        const std::uint64_t want =
-            std::stoull(expect_fp, nullptr, 16);
-        if (serial.digest != want) {
+    if (pin_fp) {
+        if (serial.digest != want_fp) {
             std::cerr << "sweep_bench: fingerprint "
                       << std::hex << serial.digest
-                      << " does not match expected " << want << std::dec
+                      << " does not match expected " << want_fp << std::dec
                       << "\n";
             return 1;
         }

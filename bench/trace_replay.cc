@@ -148,7 +148,24 @@ diffErrors(const ErrorGrid &a, const ErrorGrid &b)
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("trace_replay",
+                        "replay recorded traces through every "
+                        "predictor");
+    args.add("traces", "DIR",
+             "trace directory written by trace_record (required)")
+        .add("benchmarks", "N",
+             "first N DaCapo benchmarks (default 0 = all)")
+        .add("only", "NAME", "replay a single DaCapo benchmark")
+        .add("seed", "N", "machine seed (default 42)")
+        .add("dir", "up|down|both",
+             "prediction direction(s) to print (default both)")
+        .addBool("verify-live",
+                 "re-simulate and fail unless every replayed error is "
+                 "bit-identical")
+        .addWorkers()
+        .addBool("progress", "progress/ETA lines on stderr")
+        .addJson();
+    args.parse(argc, argv);
     const std::string traces = args.get("traces");
     if (traces.empty()) {
         std::cerr << "trace_replay: --traces=DIR is required\n";
@@ -217,7 +234,7 @@ main(int argc, char **argv)
     int status = 0;
     if (args.has("verify-live")) {
         exp::sweep::SweepRunner::Options opts;
-        opts.workers = bench::sweepWorkers(args);
+        opts.workers = bench::workersFromArgs(args);
         opts.progress = args.has("progress");
         opts.label = "trace_replay verify";
 

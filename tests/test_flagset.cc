@@ -4,10 +4,10 @@
  *
  * The consolidation contract: flags are declared once, --help is
  * generated from the declarations, an unknown flag or malformed value
- * is fatal() *naming the offending flag*, and querying a key that was
- * never declared is a programming error (panic). parseKnown() must
- * consume only declared flags so google-benchmark binaries can share
- * argv.
+ * is fatal() *naming the offending flag* — list items and hex values
+ * included — and querying a key that was never declared is a
+ * programming error (panic). parseKnown() must consume only declared
+ * flags so google-benchmark binaries can share argv.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "../bench/bench_util.hh"
 
 using dvfs::bench::FlagSet;
+using dvfs::bench::workersFromArgs;
 
 namespace {
 
@@ -46,6 +47,9 @@ sampleFlags()
     flags.add("count", "N", "how many (default 1)")
         .add("ratio", "X", "scale factor (default 1.0)")
         .add("name", "S", "a label")
+        .add("gaps", "CSV", "integer list (default 980)")
+        .add("thresholds", "X,...", "number list (default 0.05,0.10)")
+        .add("fp", "0x...", "a 64-bit digest")
         .addBool("verbose", "say more")
         .addWorkers();
     return flags;
@@ -66,6 +70,28 @@ TEST(FlagSet, ParsesDeclaredFlagsWithTypedAccess)
     // Declared but not passed: defaults apply, has() is false.
     EXPECT_FALSE(flags.has("workers"));
     EXPECT_EQ(flags.getInt("workers", 0), 0);
+}
+
+TEST(FlagSet, ParsesListsHexAndWorkers)
+{
+    auto flags = sampleFlags();
+    Argv argv({"--gaps=10,-20,30", "--fp=0xB806f47ff81388e0",
+               "--workers=3"});
+    flags.parse(argv.argc(), argv.argv());
+
+    EXPECT_EQ(flags.getIntList("gaps", "980"),
+              (std::vector<long>{10, -20, 30}));
+    EXPECT_EQ(flags.getHex("fp", 0), 0xb806f47ff81388e0ull);
+    EXPECT_EQ(workersFromArgs(flags), 3u);
+    // Not passed: the default, spelled as on the command line.
+    EXPECT_EQ(flags.getDoubleList("thresholds", "0.05,0.10"),
+              (std::vector<double>{0.05, 0.10}));
+
+    FlagSet bare = sampleFlags();
+    Argv none({"--fp=ff"});
+    bare.parse(none.argc(), none.argv());
+    EXPECT_EQ(bare.getHex("fp", 0), 0xffull);
+    EXPECT_EQ(workersFromArgs(bare), dvfs::exp::sweep::defaultWorkers());
 }
 
 TEST(FlagSet, ParseKnownLeavesForeignFlagsInPlace)
@@ -120,6 +146,69 @@ TEST(FlagSetDeathTest, MalformedValueIsFatalNamingTheFlag)
     EXPECT_EXIT((void)flags.getDouble("ratio", 1.0),
                 testing::ExitedWithCode(1),
                 "--ratio: expected a number, got 'x2'");
+}
+
+TEST(FlagSetDeathTest, BadListItemIsFatalNamingTheFlag)
+{
+    auto flags = sampleFlags();
+    Argv argv({"--gaps=980,x", "--thresholds=0.05,,0.10"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getIntList("gaps", "980"),
+                testing::ExitedWithCode(1),
+                "--gaps: expected an integer, got 'x'");
+    EXPECT_EXIT((void)flags.getDoubleList("thresholds", "0.05,0.10"),
+                testing::ExitedWithCode(1),
+                "--thresholds: expected a number, got ''");
+}
+
+TEST(FlagSetDeathTest, ListItemWithTrailingGarbageIsFatal)
+{
+    auto flags = sampleFlags();
+    Argv argv({"--gaps=9x0", "--thresholds=0.05,0.1o"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getIntList("gaps", "980"),
+                testing::ExitedWithCode(1),
+                "--gaps: expected an integer, got '9x0'");
+    EXPECT_EXIT((void)flags.getDoubleList("thresholds", "0.05,0.10"),
+                testing::ExitedWithCode(1),
+                "--thresholds: expected a number, got '0.1o'");
+}
+
+TEST(FlagSetDeathTest, MalformedHexIsFatalNamingTheFlag)
+{
+    for (const char *bad : {"zz", "0x", "-1", " 12", "0x1g",
+                            "0x11112222333344445"}) {
+        auto flags = sampleFlags();
+        Argv argv({std::string("--fp=") + bad});
+        flags.parse(argv.argc(), argv.argv());
+        EXPECT_EXIT((void)flags.getHex("fp", 0),
+                    testing::ExitedWithCode(1),
+                    "--fp: expected a 64-bit hex value")
+            << bad;
+    }
+}
+
+TEST(FlagSetDeathTest, HexWithTrailingGarbageIsFatal)
+{
+    auto flags = sampleFlags();
+    Argv argv({"--fp=0xb806f47ff81388e0zz"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getHex("fp", 0), testing::ExitedWithCode(1),
+                "--fp: expected a 64-bit hex value, got "
+                "'0xb806f47ff81388e0zz'");
+}
+
+TEST(FlagSetDeathTest, WorkersBelowOneIsFatal)
+{
+    for (const char *bad : {"0", "-2"}) {
+        auto flags = sampleFlags();
+        Argv argv({std::string("--workers=") + bad});
+        flags.parse(argv.argc(), argv.argv());
+        EXPECT_EXIT((void)workersFromArgs(flags),
+                    testing::ExitedWithCode(1),
+                    "--workers: expected a pool width of at least 1")
+            << bad;
+    }
 }
 
 TEST(FlagSetDeathTest, HelpPrintsListingAndExitsCleanly)
