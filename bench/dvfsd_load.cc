@@ -13,8 +13,8 @@
  * measured from the scheduled arrival to the reply.
  *
  * Each run appends one dvfs-serve-bench-v1 record (p50/p99/p999,
- * throughput, cache hit rate, shed count) to BENCH_serve.json — see
- * EXPERIMENTS.md.
+ * throughput over all replies, goodput over ok replies, cache hit
+ * rate, shed count) to BENCH_serve.json — see EXPERIMENTS.md.
  *
  * --verify-live replays every prediction query against an in-process
  * Service over the same traces and fails (exit 1) unless the served
@@ -407,7 +407,10 @@ main(int argc, char **argv)
     const double p50 = percentile(lat, 0.50);
     const double p99 = percentile(lat, 0.99);
     const double p999 = percentile(lat, 0.999);
+    // Throughput counts every reply, sheds and errors included;
+    // goodput only the successful ones.
     const double throughput = static_cast<double>(lat.size()) / wall;
+    const double goodput = static_cast<double>(ok) / wall;
 
     // Cache effectiveness, from the server's own counters.
     double hit_rate = 0.0;
@@ -449,6 +452,7 @@ main(int argc, char **argv)
     exp::Table table({"metric", "value"});
     table.addRow({"requests", std::to_string(lat.size())});
     table.addRow({"throughput req/s", exp::Table::fmt(throughput, 1)});
+    table.addRow({"goodput ok req/s", exp::Table::fmt(goodput, 1)});
     table.addRow({"p50 ms", exp::Table::fmt(p50, 3)});
     table.addRow({"p99 ms", exp::Table::fmt(p99, 3)});
     table.addRow({"p99.9 ms", exp::Table::fmt(p999, 3)});
@@ -477,6 +481,7 @@ main(int argc, char **argv)
         .add("errors", static_cast<std::uint64_t>(errors))
         .add("shed", static_cast<std::uint64_t>(shed))
         .add("throughput_rps", throughput)
+        .add("goodput_rps", goodput)
         .add("p50_ms", p50)
         .add("p99_ms", p99)
         .add("p999_ms", p999)

@@ -25,6 +25,7 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "uarch/cache.hh"
+#include "uarch/core.hh"
 #include "uarch/dram.hh"
 
 using namespace dvfs;
@@ -81,6 +82,38 @@ BM_CacheHierarchyLoad(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheHierarchyLoad);
+
+/**
+ * Store path unit cost: zero-initialisation-style 64-line bursts from
+ * a bump pointer through CoreModel::executeStoreBurst (tag walk, write
+ * port, SQ backpressure). The pointer sweeps a 256 MB region, far past
+ * the L3, so lines miss on chip as nursery zeroing does.
+ */
+static void
+BM_StoreBurst(benchmark::State &state)
+{
+    uarch::Dram dram;
+    uarch::FreqDomain uncore("uncore", Frequency::mhz(1500));
+    uarch::FreqDomain clock("core", Frequency::ghz(2.0));
+    uarch::CacheHierarchy mem(4, uarch::HierarchyConfig{}, dram, uncore);
+    uarch::CoreModel core(0, uarch::CoreConfig{}, mem, clock);
+    uarch::PerfCounters pc;
+    constexpr std::uint64_t kBase = 0x1'0000'0000ULL;
+    constexpr std::uint64_t kSpan = 256ULL << 20;
+    uarch::StoreBurstSpec spec;
+    spec.lines = 64;
+    std::uint64_t cursor = 0;
+    Tick t = 0;
+    for (auto _ : state) {
+        spec.baseAddr = kBase + cursor;
+        cursor = (cursor + spec.lines * 64) % kSpan;
+        t = core.executeStoreBurst(spec, t, pc);
+    }
+    benchmark::DoNotOptimize(t);
+    state.SetItemsProcessed(state.iterations() * spec.lines);
+    state.SetLabel("items = stored lines");
+}
+BENCHMARK(BM_StoreBurst);
 
 /** Simulation rate: events per wall second for a full benchmark. */
 static void

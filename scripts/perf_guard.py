@@ -7,9 +7,12 @@ micro_simulator, the trace record/replay tools, and the dvfsd_load
 serving soak — against the last committed record for the same
 configuration (bench + run + cells, preferring rows from a machine
 with the same hardware_threads) and emits a GitHub Actions
-::warning:: annotation when throughput (cells_per_sec, or
-throughput_rps for serve rows) dropped by more than the threshold. Sampled rows carrying mean_abs_slowdown_err_pct also get an
-accuracy soft-gate: a warning fires when the error worsens by more
+::warning:: annotation when throughput dropped by more than the
+threshold: cells_per_sec for simulation rows; for serve rows
+goodput_rps (ok replies/s) when both compared rows carry it, else
+throughput_rps (all replies/s, sheds and errors included). Sampled
+rows carrying mean_abs_slowdown_err_pct also get an accuracy
+soft-gate: a warning fires when the error worsens by more
 than --err-threshold percentage points against the last committed
 same-config row. Always exits 0:
 wall-clock numbers on shared CI runners are noisy, so the guard
@@ -39,10 +42,17 @@ KNOWN_SCHEMAS = ("dvfs-sweep-bench-v1", "dvfs-trace-bench-v1",
                  "dvfs-serve-bench-v1")
 
 
-def throughput_of(rec):
-    """The guarded throughput metric: cells/s for simulation benches,
-    replies/s for the serving soak."""
-    return rec.get("cells_per_sec") or rec.get("throughput_rps")
+def throughput_key(rec, base):
+    """The guarded throughput field for rec against its baseline row
+    base (or None): cells/s for simulation benches; for the serving
+    soak, goodput when both rows carry it (a shed or error reply is no
+    throughput), else replies/s so older rows still compare."""
+    if rec.get("cells_per_sec"):
+        return "cells_per_sec"
+    if (base is not None and "goodput_rps" in rec
+            and "goodput_rps" in base):
+        return "goodput_rps"
+    return "throughput_rps"
 
 
 def load_records(path):
@@ -148,7 +158,8 @@ def main():
     summary_rows = []
     for rec in fresh:
         base = latest_baseline(baseline, rec)
-        now = throughput_of(rec)
+        key = throughput_key(rec, base)
+        now = rec.get(key)
         now_err = rec.get("mean_abs_slowdown_err_pct")
         config = f"{rec.get('bench')}/{rec.get('run')}"
         if not now:
@@ -158,13 +169,14 @@ def main():
                   "skipping")
             summary_rows.append((config, None, now, None, now_err))
             continue
-        ref = throughput_of(base)
+        ref = base.get(key)
         if not ref:
             continue
         ref_err = base.get("mean_abs_slowdown_err_pct")
         summary_rows.append((config, ref, now, ref_err, now_err))
         ratio = now / ref
-        unit = "cells/s" if rec.get("cells_per_sec") else "req/s"
+        unit = {"cells_per_sec": "cells/s", "goodput_rps": "ok req/s",
+                "throughput_rps": "req/s"}[key]
         line = (f"{config}: {now:.2f} {unit} vs baseline {ref:.2f} "
                 f"({(ratio - 1) * 100:+.1f}%)")
         if ratio < 1.0 - args.threshold:

@@ -12,6 +12,7 @@
 
 #include "exp/sweep/pool.hh"
 #include "net/socket.hh"
+#include "sim/log.hh"
 
 namespace dvfs::serve {
 
@@ -85,7 +86,9 @@ Server::run()
         fdOwner.clear();
         fds.push_back({_stopPipe[0], POLLIN, 0});
         fdOwner.push_back(-1);
-        if (!_draining && _listenFd >= 0) {
+        if (_acceptPaused && Clock::now() >= _acceptRetryAt)
+            _acceptPaused = false;
+        if (!_draining && _listenFd >= 0 && !_acceptPaused) {
             fds.push_back({_listenFd, POLLIN, 0});
             fdOwner.push_back(-2);
         }
@@ -111,7 +114,14 @@ Server::run()
                 break;
         }
 
-        int rc = ::poll(fds.data(), fds.size(), anyPending ? 0 : -1);
+        int timeout = anyPending ? 0 : -1;
+        if (_acceptPaused && !anyPending) {
+            const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+                _acceptRetryAt - Clock::now());
+            timeout = static_cast<int>(std::max<std::int64_t>(
+                1, wait.count()));
+        }
+        int rc = ::poll(fds.data(), fds.size(), timeout);
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
@@ -160,6 +170,9 @@ Server::run()
             ::close(fd);
             _conns.erase(fd);
         }
+        // A closed connection freed an fd: try accepting again.
+        if (!_doomed.empty())
+            _acceptPaused = false;
     }
 
     // Drained: every reply flushed. Hang up on the survivors.
@@ -178,6 +191,21 @@ Server::acceptReady()
                 continue;
             if (errno == EAGAIN || errno == EWOULDBLOCK)
                 return;
+            // The peer gave up before we took it: skip it.
+            if (errno == ECONNABORTED || errno == EPROTO)
+                continue;
+            if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+                errno == ENOMEM) {
+                // Out of fds or kernel memory. The pending connection
+                // stays queued and keeps the listener readable, so
+                // polling it now would spin: stop until a connection
+                // closes, or the retry interval passes.
+                warn("dvfsd: accept: %s; pausing accepts",
+                     std::strerror(errno));
+                _acceptPaused = true;
+                _acceptRetryAt = Clock::now() + kAcceptRetry;
+                return;
+            }
             throw net::SocketError(std::string("accept: ") +
                                    std::strerror(errno));
         }

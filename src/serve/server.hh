@@ -21,6 +21,11 @@
  *    header-level ProtoError (bad magic/version/oversized) means the
  *    stream itself can't be trusted: reply Error{BadRequest} and close
  *    after the flush.
+ *  - accept() failures never end the loop: a peer that aborted before
+ *    being accepted (ECONNABORTED/EPROTO) is skipped, and fd or memory
+ *    exhaustion (EMFILE/ENFILE/ENOBUFS/ENOMEM) logs a warning and takes
+ *    the listener out of the poll set until a connection closes or
+ *    100 ms pass, so the still-readable listener cannot busy-spin.
  *  - stop() (async-signal-safe; SIGTERM handlers call it) starts a
  *    graceful drain: stop accepting and reading, serve every request
  *    already queued, flush every reply, then return from run().
@@ -29,6 +34,7 @@
 #ifndef DVFS_SERVE_SERVER_HH
 #define DVFS_SERVE_SERVER_HH
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -107,8 +113,19 @@ class Server
     void queueReply(Conn &conn, const net::Frame &reply);
     bool finished(const Conn &conn) const;
 
+    using Clock = std::chrono::steady_clock;
+    /** How long accepts stay paused when no connection closes. */
+    static constexpr std::chrono::milliseconds kAcceptRetry{100};
+
     std::uint16_t _port = 0;
     int _listenFd = -1;
+    /**
+     * accept() ran out of fds or memory (acceptReady): the listener is
+     * left out of the poll set until a connection closes or
+     * _acceptRetryAt passes.
+     */
+    bool _acceptPaused = false;
+    Clock::time_point _acceptRetryAt{};
     int _stopPipe[2] = {-1, -1};
     bool _draining = false;
     std::string _unixPath;  ///< unlinked on destruction if non-empty

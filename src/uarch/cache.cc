@@ -53,7 +53,6 @@ Cache::Cache(std::string name, const CacheConfig &cfg)
         std::countr_zero(static_cast<std::uint64_t>(_numSets)));
     _meta.assign(static_cast<std::size_t>(_numSets) * _cfg.assoc, 0);
     _order.assign(_numSets, identityOrder(_cfg.assoc));
-    _mru.assign(_numSets, 0);
 }
 
 bool
@@ -80,7 +79,6 @@ Cache::reset()
 {
     std::fill(_meta.begin(), _meta.end(), 0u);
     std::fill(_order.begin(), _order.end(), identityOrder(_cfg.assoc));
-    std::fill(_mru.begin(), _mru.end(), 0u);
     _hits.reset();
     _misses.reset();
     _writebacks.reset();
@@ -306,11 +304,50 @@ CacheHierarchy::load(std::uint32_t core, std::uint64_t addr, Tick issue,
     return out;
 }
 
-Tick
-CacheHierarchy::storeLine(std::uint32_t core, std::uint64_t addr, Tick issue)
+void
+CacheHierarchy::storeBurstTags(std::uint32_t core, std::uint64_t base,
+                               std::span<StoreTags> out)
 {
     DVFS_PROFILE_SCOPE(Cache);
     DVFS_ASSERT(core < _l1d.size(), "core index out of range");
+
+    // Install dirty in the private levels so subsequent reads of
+    // freshly initialized memory hit. Until the L3 pass, each line's
+    // victim field carries the dirty victim it handed the next level
+    // down (hasVictim marks one).
+    Cache &l1 = _l1d[core];
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        auto r = l1.access(base + i * kStoreLineBytes, true);
+        out[i].hasVictim = r.writeback.has_value();
+        out[i].victim = r.writeback.value_or(0);
+    }
+    Cache &l2 = _l2[core];
+    for (StoreTags &t : out) {
+        if (!t.hasVictim)
+            continue;
+        auto r = l2.access(t.victim, true);
+        t.hasVictim = r.writeback.has_value();
+        t.victim = r.writeback.value_or(0);
+    }
+    // The L3 pass interleaves per line, as the per-line walk did: the
+    // L2 victim's entry, then the line's own install.
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        StoreTags &t = out[i];
+        if (t.hasVictim)
+            _l3.access(t.victim, true);
+        auto r = _l3.access(base + i * kStoreLineBytes, true);
+        t.onChip = r.hit;
+        t.victimDirty = r.writeback.has_value();
+        t.hasVictim = t.victimDirty || r.evictedClean.has_value();
+        t.victim = t.victimDirty ? *r.writeback : r.evictedClean.value_or(0);
+    }
+}
+
+Tick
+CacheHierarchy::storeLineTimed(std::uint32_t core, std::uint64_t addr,
+                               const StoreTags &tags, Tick issue)
+{
+    DVFS_PROFILE_SCOPE(Cache);
 
     // Every detailed store line advances the overlay's write clock so
     // warm ranges decay at the same rate whether the writes that push
@@ -318,17 +355,7 @@ CacheHierarchy::storeLine(std::uint32_t core, std::uint64_t addr, Tick issue)
     if (_warmEnabled)
         _warmWritten += 1;
 
-    // Install dirty in the private levels so subsequent reads of
-    // freshly initialized memory hit.
-    auto r1 = _l1d[core].access(addr, true);
-    if (r1.writeback) {
-        auto r = _l2[core].access(*r1.writeback, true);
-        if (r.writeback)
-            _l3.access(*r.writeback, true);
-    }
-
-    auto r3 = _l3.access(addr, true);
-    if (r3.hit) {
+    if (tags.onChip) {
         // Line owned on chip: the store drains at cache speed, i.e.
         // the SQ entry is released structurally immediately.
         return issue;
@@ -347,17 +374,25 @@ CacheHierarchy::storeLine(std::uint32_t core, std::uint64_t addr, Tick issue)
     // store bursts drain-limited and back up the SQ at every DVFS
     // setting (Section III-D). A dirty victim additionally consumes
     // DRAM write bandwidth (and disturbs banks that reads share).
-    if (r3.writeback)
-        _dram.write(*r3.writeback, issue);
+    if (tags.victimDirty)
+        _dram.write(tags.victim, issue);
     // As in load(): the displaced line would usually have been a
     // dirty burst line in exact mode — pay its writeback.
     else if (_warmEnabled && warmVictimDue())
-        _dram.write(r3.evictedClean ? *r3.evictedClean
-                                    : (addr ^ (std::uint64_t{1} << 32)),
+        _dram.write(tags.hasVictim ? tags.victim
+                                   : (addr ^ (std::uint64_t{1} << 32)),
                     issue);
     Tick &port = _writePortFreeAt[core];
     port = std::max(port, issue) + _writeDrainTicks;
     return port;
+}
+
+Tick
+CacheHierarchy::storeLine(std::uint32_t core, std::uint64_t addr, Tick issue)
+{
+    StoreTags tags;
+    storeBurstTags(core, addr, std::span<StoreTags>(&tags, 1));
+    return storeLineTimed(core, addr, tags, issue);
 }
 
 void

@@ -28,6 +28,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,45 @@ class Cache
     std::uint64_t misses() const { return _misses.value(); }
     std::uint64_t writebacks() const { return _writebacks.value(); }
 
+    /**
+     * Move way @p w to the most-recent position of a set's recency
+     * word. The word is a base-16 permutation: nibble 0 holds the
+     * most recently touched way index, nibble assoc-1 the least
+     * recent.
+     *
+     * Branchless: XOR-ing every nibble with w turns w's position into
+     * the word's lowest zero nibble, which the has-zero-nibble trick
+     * flags exactly (a borrow can only set flags above a real zero).
+     * Nibbles past assoc are zero and may also match w == 0, but never
+     * below w's own position, which is under assoc. The double shifts
+     * keep the p == 15 case (shift by 60+4) well-defined, and p == 0
+     * rewrites the word unchanged. Public so tests can check it
+     * against a linear scan.
+     */
+    static void
+    touchWay(std::uint64_t &ord, std::uint32_t w)
+    {
+        constexpr std::uint64_t kOnes = 0x1111111111111111ull;
+        constexpr std::uint64_t kHighs = 0x8888888888888888ull;
+        const std::uint64_t x = ord ^ (kOnes * w);
+        const std::uint64_t zero = (x - kOnes) & ~x & kHighs;
+        const unsigned sh =
+            static_cast<unsigned>(std::countr_zero(zero)) & ~3u;
+        const std::uint64_t low = ord & ((std::uint64_t{1} << sh) - 1);
+        const std::uint64_t high = (ord >> sh >> 4) << sh << 4;
+        ord = high | (low << 4) | w;
+    }
+
+    /** Identity recency word: nibble i = i for i < assoc. */
+    static std::uint64_t
+    identityOrder(std::uint32_t assoc)
+    {
+        std::uint64_t ord = 0;
+        for (std::uint32_t i = 0; i < assoc; ++i)
+            ord |= static_cast<std::uint64_t>(i) << (4 * i);
+        return ord;
+    }
+
   private:
     /// @name Packed way metadata
     /// A way's {tag, valid, dirty} live in one 32-bit word: tag << 2
@@ -123,37 +163,6 @@ class Cache
     static constexpr std::uint32_t kWayDirty = 2;
     static constexpr unsigned kWayTagShift = 2;
     /// @}
-
-    /**
-     * Move way @p w to the most-recent position of a set's recency
-     * word. The word is a base-16 permutation: nibble 0 holds the
-     * most recently touched way index, nibble assoc-1 the least
-     * recent. The double shifts keep the p == 15 case (shift by 60+4)
-     * well-defined without a branch.
-     */
-    static void
-    touchWay(std::uint64_t &ord, std::uint32_t w)
-    {
-        unsigned p = 0;
-        while (((ord >> (4 * p)) & 0xF) != w)
-            ++p;
-        if (p) {
-            const unsigned sh = 4 * p;
-            const std::uint64_t low = ord & ((std::uint64_t{1} << sh) - 1);
-            const std::uint64_t high = (ord >> sh >> 4) << sh << 4;
-            ord = high | (low << 4) | w;
-        }
-    }
-
-    /** Identity recency word: nibble i = i for i < assoc. */
-    static std::uint64_t
-    identityOrder(std::uint32_t assoc)
-    {
-        std::uint64_t ord = 0;
-        for (std::uint32_t i = 0; i < assoc; ++i)
-            ord |= static_cast<std::uint64_t>(i) << (4 * i);
-        return ord;
-    }
 
     /** access() body, specialized on a compile-time associativity
      *  (0 = runtime _cfg.assoc). */
@@ -186,20 +195,14 @@ class Cache
      * Per-set true-LRU recency as a nibble permutation (touchWay).
      * Replaces per-way last-touch stamps: victim selection reads one
      * nibble instead of scanning an assoc-sized stamp array, hits
-     * update one word, and the MRU fast path (which by definition
-     * touches the way already at nibble 0) updates nothing at all.
-     * Selection is bit-identical to stamp LRU: both implement exact
-     * least-recently-touched with the first invalid way preferred.
+     * update one word, and nibble 0 doubles as the set's MRU way:
+     * lookups probe it before scanning the set (repeat hits to the
+     * same line are the common case on the simulator's hot path), and
+     * such a hit updates nothing at all. Selection is bit-identical to
+     * stamp LRU: both implement exact least-recently-touched with the
+     * first invalid way preferred.
      */
     std::vector<std::uint64_t> _order;
-    /**
-     * Most-recently-touched way per set. Lookups probe it before
-     * scanning the set: locality makes repeat hits to the same line
-     * the common case on the simulator's hot path, and the probe is
-     * one compare. Purely an access-path shortcut — hit/miss results,
-     * LRU state and stats are identical with or without it.
-     */
-    std::vector<std::uint32_t> _mru;
 
     sim::Counter _hits, _misses, _writebacks;
 };
@@ -225,10 +228,11 @@ Cache::accessWays(std::uint64_t addr, bool dirty)
     const std::uint32_t want = (tag << kWayTagShift) | kWayDirty | kWayValid;
     const std::uint32_t mark = dirty ? kWayDirty : 0;
 
-    // Fast path: the set's most-recently-touched way. It already
-    // holds recency nibble 0, so the order word needs no update.
+    // Fast path: the set's most-recently-touched way, recency nibble
+    // 0, so the order word needs no update.
     {
-        const std::uint32_t m = _mru[set];
+        const std::uint32_t m =
+            static_cast<std::uint32_t>(_order[set] & 0xF);
         if ((meta[m] | kWayDirty) == want) {
             meta[m] |= mark;
             _hits.inc();
@@ -251,7 +255,6 @@ Cache::accessWays(std::uint64_t addr, bool dirty)
             static_cast<std::uint32_t>(std::countr_zero(hit_mask));
         meta[w] |= mark;
         touchWay(_order[set], w);
-        _mru[set] = w;
         _hits.inc();
         return Result{true, std::nullopt, std::nullopt};
     }
@@ -276,7 +279,6 @@ Cache::accessWays(std::uint64_t addr, bool dirty)
         _order[set] =
             ((ord & ((std::uint64_t{1} << (4 * (assoc - 1))) - 1)) << 4) |
             victim;
-        _mru[set] = victim;
         _misses.inc();
         Result res{false, std::nullopt, std::nullopt};
         const std::uint32_t vm = meta[victim];
@@ -298,7 +300,6 @@ Cache::accessWays(std::uint64_t addr, bool dirty)
     _misses.inc();
     meta[victim] = (tag << kWayTagShift) | kWayValid | mark;
     touchWay(_order[set], victim);
-    _mru[set] = victim;
     return Result{false, std::nullopt, std::nullopt};
 }
 
@@ -366,18 +367,53 @@ class CacheHierarchy
                      Frequency core_freq);
 
     /**
-     * Perform a line-filling store from a store burst.
+     * Tag-walk outcome of one burst line, recorded by storeBurstTags
+     * and consumed by storeLineTimed.
+     */
+    struct StoreTags {
+        std::uint64_t victim = 0;  ///< L3 victim line (if hasVictim)
+        bool onChip = false;       ///< the line hit in the L3
+        bool hasVictim = false;    ///< the L3 install evicted a line
+        bool victimDirty = false;  ///< ... and that line was dirty
+    };
+
+    /** Byte stride between consecutive lines of a store burst. */
+    static constexpr std::uint64_t kStoreLineBytes = 64;
+
+    /**
+     * Tag phase of a store burst: install the out.size() lines
+     * starting at @p base (kStoreLineBytes apart) dirty in @p core's
+     * L1D/L2 and the L3, recording each line's L3 outcome in @p out.
+     *
+     * The walk goes one level at a time: every L1 install, then the
+     * L2 installs of the L1 dirty victims, then per line the L2 dirty
+     * victim's L3 entry followed by the line's own L3 install. Each
+     * level sees exactly the access sequence line-by-line walks would
+     * give it, and no tag outcome reads the clock, DRAM or the warm
+     * overlay, so running the tags of a whole burst ahead of its
+     * timing is exact.
+     */
+    void storeBurstTags(std::uint32_t core, std::uint64_t base,
+                        std::span<StoreTags> out);
+
+    /**
+     * Timed phase of one burst line whose tags storeBurstTags walked.
      *
      * If the line is on chip it drains at cache speed. On a miss the
      * line is handled by the core's write port (a line-fill-buffer
      * pipeline with fixed wall-clock service), and a dirty L3 victim
      * consumes DRAM write bandwidth — so sustained bursts drain at
      * memory speed at every DVFS setting, the mechanism behind the
-     * paper's store-queue backpressure (Section III-D).
+     * paper's store-queue backpressure (Section III-D). Lines of a
+     * burst must be timed in burst order.
      *
      * @return Tick at which the store structurally completes and its
      *         SQ entries can be released.
      */
+    Tick storeLineTimed(std::uint32_t core, std::uint64_t addr,
+                        const StoreTags &tags, Tick issue);
+
+    /** A one-line store burst: storeBurstTags, then storeLineTimed. */
     Tick storeLine(std::uint32_t core, std::uint64_t addr, Tick issue);
 
     /// @name Warm-range overlay (sampled runs only)

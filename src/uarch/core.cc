@@ -146,6 +146,11 @@ CoreModel::executeStoreBurst(const StoreBurstSpec &spec, Tick start,
         freq.cyclesToTicks(store_period_cycles * spec.storesPerLine);
     const std::uint32_t spl = std::max<std::uint32_t>(1, spec.storesPerLine);
 
+    // Walk the whole burst's tags up front; the loop below only times
+    // the lines (CacheHierarchy::storeBurstTags says why that's exact).
+    _storeTags.resize(spec.lines);
+    _mem.storeBurstTags(_id, spec.baseAddr, _storeTags);
+
     Tick t = start;
     Tick sq_full = 0;
 
@@ -170,8 +175,8 @@ CoreModel::executeStoreBurst(const StoreBurstSpec &spec, Tick start,
         // Hand the line to the memory system; it occupies SQ entries
         // until the hierarchy structurally accepts it.
         std::uint64_t addr =
-            spec.baseAddr + static_cast<std::uint64_t>(i) * 64;
-        Tick done = _mem.storeLine(_id, addr, t);
+            spec.baseAddr + i * CacheHierarchy::kStoreLineBytes;
+        Tick done = _mem.storeLineTimed(_id, addr, _storeTags[i], t);
         if (done > t) {
             _sqPending.emplace_back(done, spl);
             _sqOccupied += spl;

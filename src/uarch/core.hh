@@ -129,6 +129,12 @@ class CoreModel
     std::vector<MissWindow> _missScratch;
 
     /**
+     * Scratch for executeStoreBurst's per-line tag outcomes, reused
+     * the same way: valid only during one executeStoreBurst call.
+     */
+    std::vector<CacheHierarchy::StoreTags> _storeTags;
+
+    /**
      * Store-queue occupancy: drain completion tick and store count of
      * each line still occupying SQ entries, oldest first.
      */

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
+#include "sim/rng.hh"
 #include "uarch/cache.hh"
 
 using namespace dvfs;
@@ -101,6 +106,44 @@ TEST(Cache, ResetDropsContents)
     c.reset();
     EXPECT_FALSE(c.probe(0x40));
     EXPECT_EQ(c.hits(), 0u);
+}
+
+namespace {
+
+/** Reference touchWay: find w's nibble by a linear search. */
+void
+touchWayByScan(std::uint64_t &ord, std::uint32_t w)
+{
+    unsigned p = 0;
+    while (((ord >> (4 * p)) & 0xF) != w)
+        ++p;
+    const std::uint64_t low = ord & ((std::uint64_t{1} << (4 * p)) - 1);
+    const unsigned sh = 4 * p + 4;
+    const std::uint64_t high = p == 15 ? 0 : (ord >> sh) << sh;
+    ord = high | (low << 4) | w;
+}
+
+} // namespace
+
+TEST(Cache, BranchlessTouchWayMatchesLinearScan)
+{
+    sim::Rng rng(7);
+    for (std::uint32_t assoc : {4u, 8u, 16u}) {
+        std::uint64_t fast = Cache::identityOrder(assoc);
+        std::uint64_t slow = fast;
+        for (int step = 0; step < 20000; ++step) {
+            // Bias toward the tail so deep positions (p == assoc-1,
+            // incl. the p == 15 shift edge) are hit often.
+            const std::uint32_t w =
+                rng.nextBool(0.3)
+                    ? static_cast<std::uint32_t>(
+                          (slow >> (4 * (assoc - 1))) & 0xF)
+                    : static_cast<std::uint32_t>(rng.nextBounded(assoc));
+            Cache::touchWay(fast, w);
+            touchWayByScan(slow, w);
+            ASSERT_EQ(fast, slow) << "assoc " << assoc << " step " << step;
+        }
+    }
 }
 
 TEST(CacheDeathTest, RejectsBadGeometry)
@@ -219,4 +262,180 @@ TEST(HitLevelNames, AreStable)
     EXPECT_STREQ(hitLevelName(HitLevel::L2), "L2");
     EXPECT_STREQ(hitLevelName(HitLevel::L3), "L3");
     EXPECT_STREQ(hitLevelName(HitLevel::Dram), "DRAM");
+}
+
+// ------------------------------------------------------------------
+// Two-phase store bursts vs the per-line walk
+
+namespace {
+
+using StoreTags = CacheHierarchy::StoreTags;
+
+/**
+ * The per-line store walk: the line's L1 install, its L1 dirty
+ * victim's L2 install and that one's L2 dirty victim's L3 entry, then
+ * the line's own L3 install. The reference the tag phase must match.
+ */
+StoreTags
+perLineTags(CacheHierarchy &mem, std::uint32_t core, std::uint64_t addr)
+{
+    auto r1 = mem.l1d(core).access(addr, true);
+    if (r1.writeback) {
+        auto r2 = mem.l2(core).access(*r1.writeback, true);
+        if (r2.writeback)
+            mem.l3().access(*r2.writeback, true);
+    }
+    auto r3 = mem.l3().access(addr, true);
+    StoreTags t;
+    t.onChip = r3.hit;
+    t.victimDirty = r3.writeback.has_value();
+    t.hasVictim = t.victimDirty || r3.evictedClean.has_value();
+    t.victim = r3.writeback.value_or(r3.evictedClean.value_or(0));
+    return t;
+}
+
+/** One hierarchy with its own DRAM and uncore clock. */
+struct StoreRig {
+    StoreRig(const HierarchyConfig &cfg, bool warm)
+        : uncore("uncore", Frequency::mhz(1500)),
+          mem(kCores, cfg, dram, uncore)
+    {
+        if (warm)
+            mem.enableWarmOverlay();
+    }
+
+    static constexpr std::uint32_t kCores = 3;
+    Dram dram;
+    FreqDomain uncore;
+    CacheHierarchy mem;
+};
+
+/**
+ * @p bursts random bursts of 1-256 lines on several cores, each
+ * walked whole (storeBurstTags, then storeLineTimed per line) on one
+ * rig and line by line on a reference rig, with the same loads and
+ * warm ranges in between. Without the overlay the reference also times
+ * each line itself (write port and dirty-victim DRAM write), so the
+ * timed phase is checked too.
+ */
+void
+runStoreBurstEquivalence(const HierarchyConfig &cfg, bool warm, int bursts)
+{
+    StoreRig burst(cfg, warm), ref(cfg, warm);
+    const Tick drain = nsToTicks(cfg.writeDrainNs);
+    std::vector<Tick> refPort(StoreRig::kCores, 0);
+    std::set<std::uint64_t> touched;
+    sim::Rng rng(warm ? 11 : 5);
+    // Two heap-like regions plus a small hot one, so bursts re-store
+    // lines still on chip as well as stream past every level.
+    const std::uint64_t regions[] = {0x100000000ULL, 0x200000000ULL,
+                                     0x300000000ULL};
+    Tick t = 0;
+    std::vector<StoreTags> tags;
+    for (int b = 0; b < bursts; ++b) {
+        const auto core =
+            static_cast<std::uint32_t>(rng.nextBounded(StoreRig::kCores));
+        const auto lines = static_cast<std::uint32_t>(rng.nextRange(1, 256));
+        const std::uint64_t region = regions[rng.nextBounded(3)];
+        const std::uint64_t span = region == regions[2] ? 512 : 1 << 16;
+        const std::uint64_t base = region + rng.nextBounded(span) * 64;
+
+        tags.assign(lines, StoreTags{});
+        burst.mem.storeBurstTags(core, base, tags);
+        for (std::uint32_t i = 0; i < lines; ++i) {
+            const std::uint64_t addr = base + i * 64ULL;
+            touched.insert(addr);
+            t += rng.nextBounded(3) * 4000;
+            const Tick got = burst.mem.storeLineTimed(core, addr, tags[i], t);
+            const StoreTags rt = perLineTags(ref.mem, core, addr);
+            Tick want;
+            if (warm) {
+                want = ref.mem.storeLineTimed(core, addr, rt, t);
+            } else if (rt.onChip) {
+                want = t;
+            } else {
+                if (rt.victimDirty)
+                    ref.dram.write(rt.victim, t);
+                refPort[core] = std::max(refPort[core], t) + drain;
+                want = refPort[core];
+            }
+            ASSERT_EQ(got, want) << "burst " << b << " line " << i;
+        }
+
+        // Loads and fast-forwarded bursts between stores, identical on
+        // both sides.
+        for (int k = 0; k < 8; ++k) {
+            const std::uint64_t addr =
+                regions[rng.nextBounded(3)] + rng.nextBounded(1 << 16) * 64;
+            touched.insert(addr);
+            const auto lcore =
+                static_cast<std::uint32_t>(rng.nextBounded(StoreRig::kCores));
+            t += 1000;
+            const auto a = burst.mem.load(lcore, addr, t, Frequency::ghz(2.0));
+            const auto r = ref.mem.load(lcore, addr, t, Frequency::ghz(2.0));
+            ASSERT_EQ(a.completion, r.completion);
+        }
+        if (warm && rng.nextBool(0.2)) {
+            const std::uint64_t wbase =
+                regions[rng.nextBounded(2)] + rng.nextBounded(1 << 16) * 64;
+            burst.mem.warmLines(wbase, 512);
+            ref.mem.warmLines(wbase, 512);
+        }
+    }
+
+    auto sameStats = [](Cache &a, Cache &b) {
+        EXPECT_EQ(a.hits(), b.hits()) << a.name();
+        EXPECT_EQ(a.misses(), b.misses()) << a.name();
+        EXPECT_EQ(a.writebacks(), b.writebacks()) << a.name();
+    };
+    for (std::uint32_t c = 0; c < StoreRig::kCores; ++c) {
+        sameStats(burst.mem.l1d(c), ref.mem.l1d(c));
+        sameStats(burst.mem.l2(c), ref.mem.l2(c));
+    }
+    sameStats(burst.mem.l3(), ref.mem.l3());
+    EXPECT_GT(burst.mem.l3().writebacks(), 0u);
+    std::size_t resident = 0;
+    for (std::uint64_t addr : touched) {
+        for (std::uint32_t c = 0; c < StoreRig::kCores; ++c) {
+            ASSERT_EQ(burst.mem.l1d(c).probe(addr), ref.mem.l1d(c).probe(addr));
+            ASSERT_EQ(burst.mem.l2(c).probe(addr), ref.mem.l2(c).probe(addr));
+        }
+        ASSERT_EQ(burst.mem.l3().probe(addr), ref.mem.l3().probe(addr));
+        resident += burst.mem.l3().probe(addr);
+    }
+    EXPECT_GT(resident, 0u);
+    EXPECT_EQ(burst.dram.writes(), ref.dram.writes());
+    EXPECT_EQ(burst.dram.reads(), ref.dram.reads());
+    EXPECT_EQ(burst.dram.meanWriteLatencyNs(), ref.dram.meanWriteLatencyNs());
+    EXPECT_GT(burst.dram.writes(), 0u);
+    EXPECT_EQ(burst.mem.warmHits(), ref.mem.warmHits());
+    if (warm) {
+        EXPECT_GT(burst.mem.warmHits(), 0u);
+    }
+}
+
+/** A small hierarchy: every level evicts dirty lines within a burst. */
+HierarchyConfig
+smallHierarchy()
+{
+    HierarchyConfig cfg;
+    cfg.l1d = CacheConfig{4 * 1024, 4, 64, 2};
+    cfg.l2 = CacheConfig{16 * 1024, 8, 64, 11};
+    cfg.l3 = CacheConfig{64 * 1024, 16, 64, 40};
+    return cfg;
+}
+
+} // namespace
+
+TEST(StoreBurst, TwoPhaseWalkMatchesPerLineWalk)
+{
+    runStoreBurstEquivalence(smallHierarchy(), false, 400);
+    // Enough lines to cycle the default 4 MB L3 about twice.
+    runStoreBurstEquivalence(HierarchyConfig{}, false, 1200);
+}
+
+TEST(StoreBurst, TwoPhaseWalkMatchesPerLineWalkWithWarmOverlay)
+{
+    runStoreBurstEquivalence(smallHierarchy(), true, 400);
+    runStoreBurstEquivalence(HierarchyConfig{}, true, 1200);
 }

@@ -209,6 +209,7 @@ TEST(EventQueueWheel, CancelOverflowAndCascadedEntries)
     EXPECT_TRUE(q.runOne());
     EXPECT_EQ(q.now(), far + 5);
     EXPECT_EQ(fired, (std::vector<int>{0, 2}));
+    EXPECT_FALSE(q.cancel(f2));  // already fired
 
     // f3 fired in the same batch? No: runOne dispatches one event.
     // It is now a live wheel entry at the current tick; cancel it

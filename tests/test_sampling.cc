@@ -658,8 +658,9 @@ TEST(SampledRun, ManagedRunAcceptsSampledMode)
     // Every DVFS transition the manager performed was observed by the
     // controller (noteTransition), and each one forced detail.
     EXPECT_EQ(out.sampling.transitions, out.transitions);
-    if (out.transitions > 0)
+    if (out.transitions > 0) {
         EXPECT_GT(out.sampling.forcedWindows, 0u);
+    }
 }
 
 TEST(SampledRun, ManagedSampledSameSeedBitIdentical)

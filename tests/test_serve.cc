@@ -12,15 +12,21 @@
  *    ReplayEngine evaluation of the same trace.
  *  - Server: real sockets end-to-end (TCP and Unix), including the
  *    failure policy: a payload-level decode error keeps the
- *    connection, a header-level one closes it after the Error reply.
+ *    connection, a header-level one closes it after the Error reply,
+ *    and fd exhaustion pauses accepts instead of killing the daemon.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cmath>
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -296,9 +302,9 @@ TEST(ServeService, EveryFailureIsAStructuredErrorReply)
     net::UploadTraceReq bad;
     bad.image = makeImage(8);
     bad.image[bad.image.size() / 2] ^= 0x01;
-    const auto &err = requireError(
-        service.handle(Frame::request(3, std::move(bad))),
-        net::ErrorCode::BadRequest);
+    const Frame badReply =
+        service.handle(Frame::request(3, std::move(bad)));
+    const auto &err = requireError(badReply, net::ErrorCode::BadRequest);
     EXPECT_FALSE(err.message.empty());
 
     // Unknown predictor name.
@@ -452,4 +458,97 @@ TEST(ServeServer, UnixSocketEndToEnd)
     server.stop();
     serverThread.join();
     // The socket file is unlinked on server destruction, not here.
+}
+
+namespace {
+
+/** Process CPU time (all threads) in milliseconds. */
+double
+cpuMs()
+{
+    rusage ru{};
+    ::getrusage(RUSAGE_SELF, &ru);
+    return (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1e3 +
+           (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e3;
+}
+
+/**
+ * Body of the fd-exhaustion test, run in a forked child so the lowered
+ * RLIMIT_NOFILE stays out of the test runner. Returns 0 on success;
+ * a failed step exits the child with the step's number (returning
+ * would destroy the joinable server thread and abort). A server that
+ * throws out of run() aborts the child too.
+ */
+int
+fdExhaustionChild()
+{
+    ::alarm(30);  // a hang fails the test instead of stalling it
+    rlimit lim{64, 64};
+    if (::setrlimit(RLIMIT_NOFILE, &lim) != 0)
+        ::_exit(1);
+    serve::ServerConfig config;
+    config.workers = 1;
+    serve::Server server(config);
+    std::thread serverThread([&server] { server.run(); });
+    auto isStats = [](const Frame &f) {
+        return std::holds_alternative<net::StatsResp>(f.body);
+    };
+
+    std::optional<net::RpcClient> first =
+        net::RpcClient::connectTcp(server.port());
+    if (!isStats(first->call(net::StatsReq{})))
+        ::_exit(2);
+
+    // Use up every fd, then free one for the second client's socket:
+    // the kernel completes its handshake, but the server's accept()
+    // finds no fd left.
+    std::vector<int> filler;
+    for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;)
+        filler.push_back(fd);
+    if (errno != EMFILE || filler.empty())
+        ::_exit(3);
+    ::close(filler.back());
+    filler.pop_back();
+    auto second = net::RpcClient::connectTcp(server.port());
+    second.send(Frame::request(second.nextId(), net::StatsReq{}));
+
+    // Paused accepts must not spin on the still-readable listener.
+    const double cpu0 = cpuMs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    if (cpuMs() - cpu0 > 150)
+        ::_exit(4);
+
+    // Closing the first connection frees fds: the queued connection
+    // is accepted and served.
+    first.reset();
+    if (!isStats(second.recv()))
+        ::_exit(5);
+
+    for (int fd : filler)
+        ::close(fd);
+    server.stop();
+    serverThread.join();
+    return 0;
+}
+
+} // namespace
+
+TEST(ServeServer, SurvivesFdExhaustionAndServesOnceAnFdFrees)
+{
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        int rc = 6;
+        try {
+            rc = fdExhaustionChild();
+        } catch (...) {
+        }
+        ::_exit(rc);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "child killed by signal " << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "failed at step " << WEXITSTATUS(status);
 }
