@@ -24,6 +24,7 @@
  *                             [--items=600] [--quantum-us=50]
  */
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -176,23 +177,22 @@ main(int argc, char **argv)
 
     bool all_ok = true;
     for (fault::FaultClass cls : kClasses) {
-        exp::HardenedRunOptions opts;
-        opts.faults = fault::FaultConfig::only(cls, seed);
+        exp::RunOptions opts;
         opts.seed = seed;
-        opts.mgrCfg.quantum = quantum;
-        opts.mgrCfg.tolerableSlowdown = threshold;
+        opts.hardened = fault::FaultConfig::only(cls, seed);
+        mgr::ManagerConfig mgr_cfg;
+        mgr_cfg.quantum = quantum;
+        mgr_cfg.tolerableSlowdown = threshold;
 
         // Faulted baseline: same disturbances, pinned at the highest
         // point. The manager's guarantee is relative to this.
-        exp::HardenedRunOptions base_opts = opts;
-        base_opts.managed = false;
-        auto base = exp::runHardened(params, table_vf, base_opts);
+        auto base = exp::runFixed(params, table_vf.highest(), opts);
 
-        auto m1 = exp::runHardened(params, table_vf, opts);
-        auto m2 = exp::runHardened(params, table_vf, opts);
+        auto m1 = exp::runManaged(params, mgr_cfg, table_vf, opts);
+        auto m2 = exp::runManaged(params, mgr_cfg, table_vf, opts);
 
         const bool replay_ok =
-            m1.faultFingerprint == m2.faultFingerprint &&
+            m1.audit.faultFingerprint == m2.audit.faultFingerprint &&
             m1.totalTime == m2.totalTime &&
             m1.decisions.size() == m2.decisions.size();
         const double slowdown =
@@ -200,19 +200,21 @@ main(int argc, char **argv)
                 static_cast<double>(base.totalTime) -
             1.0;
         const bool bound_ok = slowdown <= threshold + epsilon;
-        const bool clean = m1.violations.empty() &&
-                           base.violations.empty() && m1.finished &&
-                           base.finished;
+        const bool clean =
+            m1.audit.violations.empty() && base.audit.violations.empty();
         all_ok = all_ok && replay_ok && bound_ok && clean;
 
+        const auto fallbacks = std::count_if(
+            m1.decisions.begin(), m1.decisions.end(),
+            [](const auto &d) { return d.fallback; });
         table.addRow({faultClassName(cls),
-                      std::to_string(m1.faultsInjected),
+                      std::to_string(m1.audit.faultsInjected),
                       exp::Table::pct(slowdown),
                       bound_ok ? "ok" : "VIOLATED",
                       replay_ok ? "bit-identical" : "DIVERGED",
-                      std::to_string(m1.violations.size() +
-                                     base.violations.size()),
-                      std::to_string(m1.fallbacks)});
+                      std::to_string(m1.audit.violations.size() +
+                                     base.audit.violations.size()),
+                      std::to_string(fallbacks)});
     }
     table.print(std::cout);
     std::cout << "\n";

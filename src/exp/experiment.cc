@@ -2,7 +2,7 @@
 
 #include <cctype>
 #include <cmath>
-#include <memory>
+#include <optional>
 
 #include "fault/injector.hh"
 #include "sim/log.hh"
@@ -36,44 +36,117 @@ parseSimMode(const std::string &name, const std::string &flag)
           flag.c_str(), name.c_str());
 }
 
+namespace {
+
+/**
+ * The sequence both harnesses share: build the machine, enable
+ * sampling, then attach the recorder, the meter and, for a hardened
+ * run, the fault plan and the auditor. The caller attaches anything
+ * else (the manager) before run().
+ */
+class Harness
+{
+  public:
+    /**
+     * @param force_detail_at_gc  Sampled runs force detail windows at
+     *                            GC boundaries (managed runs need
+     *                            them to observe every epoch).
+     */
+    Harness(const wl::WorkloadParams &params, Frequency freq,
+            const power::VfTable &table, const RunOptions &opts,
+            bool force_detail_at_gc)
+        : inst(build(params, freq, opts, force_detail_at_gc)),
+          rec(*inst.sys, opts.keepEvents), meter(*inst.sys, table),
+          _opts(opts)
+    {
+        inst.sys->addListener(&rec);
+        if (opts.measureEnergy)
+            meter.attach();
+        if (opts.hardened) {
+            _plan.emplace(*opts.hardened);
+            fault::installFaults(*inst.sys, *_plan, inst.runtime.get());
+            _auditor.emplace(*inst.sys);
+            _auditor->observeEpochs(&rec);
+            _auditor->attach();
+        }
+    }
+
+    /**
+     * Run to the end and fill the fields both outputs share. Fatals,
+     * naming @p what and the abort reason, if the run did not finish.
+     */
+    template <class Out>
+    os::RunResult
+    run(Out &out, const std::string &what)
+    {
+        os::RunResult res = inst.sys->run();
+        if (!res.finished)
+            fatal("%s did not finish%s%s", what.c_str(),
+                  res.abortReason.empty() ? "" : ": ",
+                  res.abortReason.c_str());
+        if (_opts.measureEnergy)
+            meter.finish();
+
+        out.totalTime = res.totalTime;
+        out.energy = meter.energy();
+        out.collections = inst.runtime->collections();
+        out.mode = _opts.mode;
+        if (const sim::SamplingController *sc = inst.sys->sampling())
+            out.sampling = sc->finalStats();
+        if (_auditor) {
+            out.audit.violations = _auditor->violations();
+            out.audit.audits = _auditor->audits();
+            out.audit.faultFingerprint = _plan->fingerprint();
+            out.audit.faultsInjected = _plan->totalInjected();
+        }
+        return res;
+    }
+
+    wl::BenchInstance inst;
+    pred::RunRecorder rec;
+    power::EnergyMeter meter;
+
+  private:
+    static wl::BenchInstance
+    build(const wl::WorkloadParams &params, Frequency freq,
+          const RunOptions &opts, bool force_detail_at_gc)
+    {
+        os::SystemConfig sys_cfg = wl::defaultSystemConfig(freq);
+        sys_cfg.seed = opts.seed;
+        wl::BenchInstance inst = wl::buildBenchmark(params, sys_cfg);
+        if (opts.mode == SimMode::Sampled) {
+            sim::SamplingConfig sc = opts.sampling;
+            if (force_detail_at_gc)
+                sc.forceDetailAtGc = true;
+            inst.sys->enableSampling(sc);
+        }
+        return inst;
+    }
+
+    const RunOptions &_opts;
+    std::optional<fault::FaultPlan> _plan;
+    std::optional<fault::InvariantAuditor> _auditor;
+};
+
+} // namespace
+
 FixedRunOutput
 runFixed(const wl::WorkloadParams &params, Frequency freq,
          const RunOptions &opts)
 {
-    os::SystemConfig sys_cfg = wl::defaultSystemConfig(freq);
-    sys_cfg.seed = opts.seed;
-    wl::BenchInstance inst = wl::buildBenchmark(params, sys_cfg);
-    if (opts.mode == SimMode::Sampled)
-        inst.sys->enableSampling(opts.sampling);
-
-    pred::RunRecorder rec(*inst.sys, opts.keepEvents);
-    inst.sys->addListener(&rec);
-
-    power::VfTable table = power::VfTable::haswell();
-    power::EnergyMeter meter(*inst.sys, table);
-    if (opts.measureEnergy)
-        meter.attach();
-
-    os::RunResult res = inst.sys->run();
-    if (!res.finished)
-        fatal("benchmark '%s' did not finish at %s", params.name.c_str(),
-              freq.toString().c_str());
-    if (opts.measureEnergy)
-        meter.finish();
+    const power::VfTable table = power::VfTable::haswell();
+    Harness h(params, freq, table, opts, false);
 
     FixedRunOutput out;
+    os::RunResult res = h.run(
+        out, strprintf("benchmark '%s' at %s", params.name.c_str(),
+                       freq.toString().c_str()));
     out.freq = freq;
-    out.totalTime = res.totalTime;
-    out.record = rec.finalize();
-    out.energy = meter.energy();
-    out.collections = inst.runtime->collections();
-    out.gcTime = inst.runtime->gcTime();
-    out.allocatedBytes = inst.runtime->heap().totalAllocated();
-    out.totals = inst.sys->totalCounters();
+    out.record = h.rec.finalize();
+    out.gcTime = h.inst.runtime->gcTime();
+    out.allocatedBytes = h.inst.runtime->heap().totalAllocated();
+    out.totals = h.inst.sys->totalCounters();
     out.events = res.events;
-    out.mode = opts.mode;
-    if (const sim::SamplingController *sc = inst.sys->sampling())
-        out.sampling = sc->finalStats();
     return out;
 }
 
@@ -82,90 +155,19 @@ runManaged(const wl::WorkloadParams &params,
            const mgr::ManagerConfig &mgr_cfg, const power::VfTable &table,
            const RunOptions &opts)
 {
-    os::SystemConfig sys_cfg = wl::defaultSystemConfig(table.highest());
-    sys_cfg.seed = opts.seed;
-    wl::BenchInstance inst = wl::buildBenchmark(params, sys_cfg);
-    if (opts.mode == SimMode::Sampled) {
-        // The manager's decision epochs are always observed: GC
-        // boundaries force detail windows (DVFS transitions force
-        // them unconditionally inside System::setFrequency).
-        sim::SamplingConfig sc = opts.sampling;
-        sc.forceDetailAtGc = true;
-        inst.sys->enableSampling(sc);
-    }
-
-    pred::RunRecorder rec(*inst.sys, opts.keepEvents);
-    inst.sys->addListener(&rec);
-
-    power::EnergyMeter meter(*inst.sys, table);
-    if (opts.measureEnergy)
-        meter.attach();
-
-    mgr::EnergyManager manager(*inst.sys, rec, table, mgr_cfg);
+    // The manager's decision epochs are always observed: GC
+    // boundaries force detail windows (DVFS transitions force them
+    // unconditionally inside System::setFrequency).
+    Harness h(params, table.highest(), table, opts, true);
+    mgr::EnergyManager manager(*h.inst.sys, h.rec, table, mgr_cfg);
     manager.attach();
 
-    os::RunResult res = inst.sys->run();
-    if (!res.finished)
-        fatal("managed run of '%s' did not finish", params.name.c_str());
-    if (opts.measureEnergy)
-        meter.finish();
-
     ManagedRunOutput out;
-    out.totalTime = res.totalTime;
-    out.energy = meter.energy();
+    os::RunResult res = h.run(
+        out, strprintf("managed run of '%s'", params.name.c_str()));
     out.decisions = manager.decisions();
-    out.collections = inst.runtime->collections();
-    out.averageGHz = inst.sys->coreDomain().averageGHz(0, res.totalTime);
-    out.transitions = inst.sys->coreDomain().transitions();
-    out.mode = opts.mode;
-    if (const sim::SamplingController *sc = inst.sys->sampling())
-        out.sampling = sc->finalStats();
-    return out;
-}
-
-HardenedRunOutput
-runHardened(const wl::WorkloadParams &params, const power::VfTable &table,
-            const HardenedRunOptions &opts)
-{
-    os::SystemConfig sys_cfg = wl::defaultSystemConfig(table.highest());
-    sys_cfg.seed = opts.seed;
-    wl::BenchInstance inst = wl::buildBenchmark(params, sys_cfg);
-
-    pred::RunRecorder rec(*inst.sys);
-    inst.sys->addListener(&rec);
-
-    fault::FaultPlan plan(opts.faults);
-    fault::installFaults(*inst.sys, plan, inst.runtime.get());
-
-    fault::InvariantAuditor auditor(*inst.sys, opts.auditor);
-    auditor.observeEpochs(&rec);
-    auditor.attach();
-
-    std::unique_ptr<mgr::EnergyManager> manager;
-    if (opts.managed) {
-        manager = std::make_unique<mgr::EnergyManager>(*inst.sys, rec,
-                                                       table, opts.mgrCfg);
-        manager->attach();
-    }
-
-    os::RunResult res = inst.sys->run();
-
-    HardenedRunOutput out;
-    out.totalTime = res.totalTime;
-    out.finished = res.finished;
-    out.aborted = res.aborted;
-    out.abortReason = res.abortReason;
-    if (manager) {
-        out.decisions = manager->decisions();
-        out.fallbacks = manager->fallbacks();
-    }
-    out.averageGHz = inst.sys->coreDomain().averageGHz(0, res.totalTime);
-    out.faultTrace = plan.trace();
-    out.faultFingerprint = plan.fingerprint();
-    out.faultsInjected = plan.totalInjected();
-    out.violations = auditor.violations();
-    out.watchdog = auditor.watchdog();
-    out.audits = auditor.audits();
+    out.averageGHz = h.inst.sys->coreDomain().averageGHz(0, res.totalTime);
+    out.transitions = h.inst.sys->coreDomain().transitions();
     return out;
 }
 

@@ -7,6 +7,7 @@
 #ifndef DVFS_EXP_EXPERIMENT_HH
 #define DVFS_EXP_EXPERIMENT_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,19 @@ const char *simModeName(SimMode m);
 SimMode parseSimMode(const std::string &name,
                      const std::string &flag = "--mode");
 
+/**
+ * What the fault plan and invariant auditor of a hardened run
+ * (RunOptions::hardened set) saw; empty otherwise. Fingerprint-neutral.
+ * The watchdog needs no field: when it fires it stops the run, and a
+ * run that does not finish is fatal.
+ */
+struct RunAudit {
+    std::vector<fault::Violation> violations;
+    std::uint64_t audits = 0;            ///< periodic audit passes run
+    std::uint64_t faultFingerprint = 0;  ///< FaultPlan::fingerprint()
+    std::uint64_t faultsInjected = 0;
+};
+
 /** Everything collected from one fixed-frequency ground-truth run. */
 struct FixedRunOutput {
     Frequency freq;
@@ -56,10 +70,12 @@ struct FixedRunOutput {
 
     /** Sampling provenance; all-zero for exact runs. */
     sim::SampleStats sampling;
+
+    RunAudit audit;
 };
 
 /**
- * Options shared by every canonical run harness (fixed, managed).
+ * Options shared by both canonical run harnesses (fixed, managed).
  *
  * One options struct instead of one per harness: the fields are the
  * same everywhere, and the sweep engine overrides only the seed per
@@ -80,10 +96,19 @@ struct RunOptions {
 
     /** Window placement when mode == Sampled; ignored otherwise. */
     sim::SamplingConfig sampling;
+
+    /**
+     * Unset: the plain run. Set: install a FaultPlan with this config
+     * (FaultConfig::none() for a pure audit) and attach the invariant
+     * auditor, after the recorder and meter and before the manager.
+     * The auditor's events change only the output's event count.
+     */
+    std::optional<fault::FaultConfig> hardened;
 };
 
 /**
  * Run @p params at a fixed frequency on the default Table II machine.
+ * Fatals, with the abort reason, if the run does not finish.
  */
 FixedRunOutput runFixed(const wl::WorkloadParams &params, Frequency freq,
                         const RunOptions &opts = RunOptions());
@@ -106,57 +131,18 @@ struct ManagedRunOutput {
      */
     SimMode mode = SimMode::Exact;
     sim::SampleStats sampling;
+
+    RunAudit audit;
 };
 
 /**
  * Run @p params under the energy manager (which starts the machine at
- * the table's highest frequency).
+ * the table's highest frequency). Fatals like runFixed.
  */
 ManagedRunOutput runManaged(const wl::WorkloadParams &params,
                             const mgr::ManagerConfig &mgr_cfg,
                             const power::VfTable &table,
                             const RunOptions &opts = RunOptions());
-
-/** Options for runHardened. */
-struct HardenedRunOptions {
-    fault::FaultConfig faults = fault::FaultConfig::none();
-    fault::AuditorConfig auditor;
-    bool managed = true;            ///< energy manager vs fixed-at-highest
-    mgr::ManagerConfig mgrCfg;      ///< manager parameters when managed
-    std::uint64_t seed = 42;        ///< machine seed
-};
-
-/**
- * Everything collected from one fault-injected, audited run. Unlike
- * runFixed/runManaged this never fatals on a non-finishing run: a
- * watchdog abort is a *result* here, reported in watchdog/aborted.
- */
-struct HardenedRunOutput {
-    Tick totalTime = 0;
-    bool finished = false;
-    bool aborted = false;
-    std::string abortReason;
-
-    std::vector<mgr::EnergyManager::Decision> decisions;
-    std::uint64_t fallbacks = 0;
-    double averageGHz = 0.0;
-
-    std::vector<fault::FaultEvent> faultTrace;
-    std::uint64_t faultFingerprint = 0;
-    std::uint64_t faultsInjected = 0;
-
-    std::vector<fault::Violation> violations;
-    fault::WatchdogReport watchdog;
-    std::uint64_t audits = 0;
-};
-
-/**
- * Run @p params on the default Table II machine with @p opts.faults
- * injected and the invariant auditor attached throughout.
- */
-HardenedRunOutput runHardened(const wl::WorkloadParams &params,
-                              const power::VfTable &table,
-                              const HardenedRunOptions &opts);
 
 /** Mean of absolute values. */
 double meanAbs(const std::vector<double> &xs);

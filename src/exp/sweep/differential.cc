@@ -232,11 +232,10 @@ compareManagedModes(const std::vector<wl::WorkloadParams> &workloads,
                     const power::VfTable &table,
                     const sim::SamplingConfig &sampling,
                     const std::vector<std::uint64_t> &seeds,
-                    unsigned workers, bool progress)
+                    unsigned workers)
 {
     if (workloads.empty() || seeds.empty())
         fatal("compareManagedModes: empty workload or seed dimension");
-    (void)progress;
 
     ManagedComparison cmp;
     cmp.sampling = sampling;

@@ -177,7 +177,7 @@ compareManagedModes(const std::vector<wl::WorkloadParams> &workloads,
                     const power::VfTable &table,
                     const sim::SamplingConfig &sampling,
                     const std::vector<std::uint64_t> &seeds = {42},
-                    unsigned workers = 1, bool progress = false);
+                    unsigned workers = 1);
 
 } // namespace dvfs::exp::sweep
 

@@ -4,6 +4,20 @@
 
 namespace dvfs::fault {
 
+namespace {
+
+/**
+ * Absolute slack allowed when checking that an epoch delta's
+ * computeTime + trueMemTime equals its busyTime: covers cycle-to-tick
+ * rounding at action commit.
+ */
+constexpr Tick kDecompositionSlack = 2 * kTicksPerNs;
+
+/** Stop collecting after this many violations. */
+constexpr std::size_t kMaxViolations = 64;
+
+} // namespace
+
 InvariantAuditor::InvariantAuditor(os::System &sys,
                                    const AuditorConfig &cfg)
     : _sys(sys), _cfg(cfg)
@@ -34,11 +48,7 @@ InvariantAuditor::scheduleNext()
 void
 InvariantAuditor::violation(const char *check, std::string message)
 {
-    if (_cfg.haltOnViolation)
-        panic("invariant '%s' violated at tick %llu: %s", check,
-              static_cast<unsigned long long>(_sys.now()),
-              message.c_str());
-    if (_violations.size() < _cfg.maxViolations)
+    if (_violations.size() < kMaxViolations)
         _violations.push_back(
             Violation{_sys.now(), check, std::move(message)});
 }
@@ -153,7 +163,7 @@ InvariantAuditor::checkThreadConservation()
     for (std::size_t i = 0; i < _sys.numThreads(); ++i) {
         const os::Thread &t = _sys.thread(static_cast<os::ThreadId>(i));
         const Tick alive = now - t.spawnTick;
-        if (t.counters.busyTime > alive + _cfg.decompositionSlack) {
+        if (t.counters.busyTime > alive + kDecompositionSlack) {
             violation("busy-conservation",
                       strprintf("thread %u ('%s') busy %llu ticks but "
                                 "alive only %llu",
@@ -195,7 +205,7 @@ InvariantAuditor::checkEpochAccounting()
             const Tick split = et.delta.computeTime + et.delta.trueMemTime;
             const Tick busy = et.delta.busyTime;
             const Tick diff = split > busy ? split - busy : busy - split;
-            if (diff > _cfg.decompositionSlack) {
+            if (diff > kDecompositionSlack) {
                 violation(
                     "epoch-conservation",
                     strprintf("epoch %zu thread %u: scaling %llu + "

@@ -13,9 +13,8 @@
  * progress) into a structured diagnostic naming the blocked threads,
  * and stops the run.
  *
- * Violations either panic immediately (haltOnViolation, for tests and
- * CI) or accumulate into a queryable list (for harnesses that want to
- * report them).
+ * Violations accumulate into a queryable list (the first 64 are
+ * kept).
  */
 
 #ifndef DVFS_FAULT_AUDITOR_HH
@@ -41,19 +40,6 @@ struct AuditorConfig {
      * the longest legitimate all-blocked window (a GC handshake).
      */
     Tick watchdogTimeout = 2 * kTicksPerMs;
-
-    /** Panic on the first violation instead of collecting it. */
-    bool haltOnViolation = false;
-
-    /**
-     * Absolute slack (ticks) allowed when checking that an epoch
-     * delta's computeTime + trueMemTime equals its busyTime: covers
-     * cycle-to-tick rounding at action commit.
-     */
-    Tick decompositionSlack = 2 * kTicksPerNs;
-
-    /** Stop collecting after this many violations. */
-    std::size_t maxViolations = 64;
 };
 
 /** One failed invariant check. */

@@ -7,11 +7,18 @@
 
 namespace dvfs::mgr {
 
+namespace {
+
+/** Per-thread scaling model used inside the manager: CRIT + BURST. */
+constexpr pred::ModelSpec kModel{pred::BaseEstimator::Crit, true};
+
+} // namespace
+
 EnergyManager::EnergyManager(os::System &sys, pred::RunRecorder &rec,
                              const power::VfTable &table,
                              const ManagerConfig &cfg)
     : _sys(sys), _rec(rec), _table(table), _cfg(cfg),
-      _dep(cfg.model, cfg.acrossEpochCtp)
+      _dep(kModel, /*across_epochs=*/true)
 {
     if (_cfg.quantum == 0)
         fatal("energy manager quantum must be positive");
@@ -86,7 +93,7 @@ EnergyManager::predictQuantum(std::size_t epoch_first,
         if (delta.busyTime == 0)
             continue;
         best = std::max(best, pred::predictSpan(delta.busyTime, delta,
-                                                _cfg.model, ratio));
+                                                kModel, ratio));
     }
     return best;
 }
@@ -139,7 +146,6 @@ EnergyManager::onQuantum()
         }
 
         if (fallback) {
-            ++_fallbacks;
             debugLog("quantum %llu: implausible slowdown prediction, "
                      "falling back to %u MHz",
                      static_cast<unsigned long long>(_quanta),

@@ -11,9 +11,8 @@
  * each interval individually respects the bound, the whole run does —
  * the paper's key guarantee argument.
  *
- * The per-quantum estimation uses DEP(+BURST) with across-epoch CTP by
- * default; the ModelSpec and CTP mode are configurable so the
- * benchmarks can ablate the predictor choice inside the manager.
+ * The per-quantum estimation uses DEP+BURST (CRIT base) with
+ * across-epoch CTP.
  *
  * The manager is hardened against a misbehaving predictor: any
  * non-finite, negative, or incredibly large predicted slowdown is
@@ -46,12 +45,6 @@ struct ManagerConfig {
 
     /** Tolerable-Slowdown vs. always running at the highest point. */
     double tolerableSlowdown = 0.05;
-
-    /** Per-thread scaling model used inside the manager. */
-    pred::ModelSpec model{pred::BaseEstimator::Crit, true};
-
-    /** Across-epoch CTP (Algorithm 1) vs. per-epoch CTP. */
-    bool acrossEpochCtp = true;
 
     /**
      * Predicted slowdowns above this are rejected as garbage (a sane
@@ -106,9 +99,6 @@ class EnergyManager
     /** Number of quanta evaluated. */
     std::uint64_t quanta() const { return _quanta; }
 
-    /** Quanta that fell back to the highest point (degraded mode). */
-    std::uint64_t fallbacks() const { return _fallbacks; }
-
     /** Current oscillation backoff multiplier (1 = none). */
     std::uint32_t backoff() const { return _backoff; }
 
@@ -154,7 +144,6 @@ class EnergyManager
     Tick _quantumStart = 0;
     std::uint32_t _sinceChange = 0;
     std::uint64_t _quanta = 0;
-    std::uint64_t _fallbacks = 0;
     std::uint32_t _backoff = 1;
     Frequency _prevFreq;  ///< frequency before the last change
     std::vector<Decision> _decisions;

@@ -1,12 +1,18 @@
 /**
  * @file
  * InvariantAuditor: a healthy machine audits clean, a deadlocked one
- * produces a structured watchdog diagnostic instead of hanging, and
- * the fault-injected paths stay invariant-clean too.
+ * produces a structured watchdog diagnostic instead of hanging, the
+ * fault-injected paths stay invariant-clean too, and so do sampled
+ * runs, whose gaps fast-forward time, epochs and GC work.
  */
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "exp/experiment.hh"
+#include "exp/sweep/fingerprint.hh"
+#include "exp/sweep/sweep.hh"
 #include "fault/auditor.hh"
 #include "fault/fault_plan.hh"
 #include "fault/injector.hh"
@@ -134,6 +140,82 @@ TEST(Auditor, WatchdogSparesSlowButLiveRuns)
 
     ASSERT_TRUE(inst.sys->run().finished);
     EXPECT_FALSE(auditor.watchdog().fired);
+}
+
+namespace {
+
+/**
+ * @p out, a sampled run with a pure audit, audited clean and matches
+ * @p ref, the same run without it, in everything but the event count.
+ */
+template <class Out>
+void
+expectAuditedCleanAndUnchanged(Out out, const Out &ref,
+                               const std::string &cell)
+{
+    EXPECT_EQ(ref.audit.audits, 0u) << cell;
+    EXPECT_GT(out.sampling.ffActions, 0u) << cell;
+    // runFixed/runManaged return only runs that finished, so the
+    // watchdog, which stops the run when it fires, stayed silent.
+    EXPECT_GT(out.audit.audits, 0u) << cell;
+    EXPECT_TRUE(out.audit.violations.empty())
+        << cell << ": "
+        << (out.audit.violations.empty()
+                ? ""
+                : out.audit.violations[0].check + ": " +
+                      out.audit.violations[0].message);
+    if constexpr (std::is_same_v<Out, exp::FixedRunOutput>)
+        out.events = ref.events;  // the auditor's own events
+    EXPECT_EQ(exp::sweep::fingerprintRun(out),
+              exp::sweep::fingerprintRun(ref))
+        << cell;
+}
+
+} // namespace
+
+TEST(Auditor, SampledFig9AndFig10CellsAuditClean)
+{
+    // The fig9 fixed cells, and the fig10 managed cells with their
+    // fixed-at-highest baselines, at each figure's seed and sampling
+    // recipe. Sampled gaps fast-forward time, epochs and GC work; the
+    // invariants must hold across them.
+    const auto table = power::VfTable::haswell();
+    std::vector<wl::WorkloadParams> suite = wl::dacapoSuite();
+    suite.resize(4);
+
+    exp::RunOptions fig9;
+    fig9.seed = exp::sweep::SweepSpec::replicateSeeds(42, 1)[0];
+    fig9.mode = exp::SimMode::Sampled;
+
+    exp::RunOptions fig10 = fig9;
+    fig10.sampling.detailWindow = 10 * kTicksPerUs;
+    fig10.sampling.maxGapWindow = 7840 * kTicksPerUs;
+    fig10.sampling.driftThresholdPermille = 200;
+
+    auto audited = [](exp::RunOptions o) {
+        o.hardened = fault::FaultConfig::none();
+        return o;
+    };
+
+    for (const auto &params : suite) {
+        for (double ghz : {1.0, 2.0, 3.0, 4.0}) {
+            const Frequency f = Frequency::ghz(ghz);
+            expectAuditedCleanAndUnchanged(
+                exp::runFixed(params, f, audited(fig9)),
+                exp::runFixed(params, f, fig9),
+                params.name + " fixed " + f.toString());
+        }
+        expectAuditedCleanAndUnchanged(
+            exp::runFixed(params, table.highest(), audited(fig10)),
+            exp::runFixed(params, table.highest(), fig10),
+            params.name + " fig10 baseline");
+
+        const mgr::ManagerConfig mc;
+        expectAuditedCleanAndUnchanged(
+            exp::runManaged(params, mc, table, audited(fig10)),
+            exp::runManaged(params, mc, table, fig10),
+            params.name + " managed");
+    }
 }
 
 TEST(AuditorDeathTest, DegenerateConfigIsFatal)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -86,7 +87,9 @@ runWith(Extra... extra)
     RunResultSummary out;
     out.finished = inst.sys->run().finished;
     out.decisions = manager.decisions();
-    out.fallbacks = manager.fallbacks();
+    out.fallbacks = static_cast<std::uint64_t>(std::count_if(
+        out.decisions.begin(), out.decisions.end(),
+        [](const auto &d) { return d.fallback; }));
     out.quanta = manager.quanta();
     out.backoff = manager.backoff();
     return out;
