@@ -47,6 +47,70 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
 
+namespace {
+
+/** A live event that reschedules itself from a fixed delta table. */
+struct SteadyTimer {
+    sim::EventQueue *eq;
+    const std::vector<Tick> *deltas;
+    std::size_t *cursor;
+
+    void
+    operator()() const
+    {
+        const Tick d = (*deltas)[(*cursor)++ & (deltas->size() - 1)];
+        eq->schedule(eq->now() + d, *this);
+    }
+};
+
+} // namespace
+
+/**
+ * The simulator's steady state: a fixed population of live events,
+ * each rescheduling itself 1 ns to 20 us ahead in femtosecond ticks,
+ * so placements land on wheel levels 2-4 and reach level 0 through
+ * the cascade. One runOne() per iteration, as os::System drives it.
+ */
+static void
+BM_EventQueueSteadyState(benchmark::State &state)
+{
+    const auto live = static_cast<unsigned>(state.range(0));
+    std::vector<Tick> deltas(4096);
+    sim::Rng rng(7);
+    for (Tick &d : deltas)
+        d = rng.nextRange(kTicksPerNs, 20 * kTicksPerUs);
+    std::size_t cursor = 0;
+    sim::EventQueue eq;
+    for (unsigned i = 0; i < live; ++i)
+        eq.schedule(deltas[cursor++], SteadyTimer{&eq, &deltas, &cursor});
+    for (auto _ : state)
+        benchmark::DoNotOptimize(eq.runOne());
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel("items = events");
+}
+BENCHMARK(BM_EventQueueSteadyState)->Arg(8)->Arg(64);
+
+/**
+ * The replay digest over avrora's 1 GHz sampled record (~67k epochs,
+ * the most sync-bound cell of the sampled sweep). The run is
+ * simulated once, outside the timed loop.
+ */
+static void
+BM_FingerprintRun(benchmark::State &state)
+{
+    exp::RunOptions opts;
+    opts.mode = exp::SimMode::Sampled;
+    const auto out = exp::runFixed(wl::benchmarkByName("avrora"),
+                                   Frequency::ghz(1.0), opts);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(exp::sweep::fingerprintRun(out));
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(out.record.epochs.size()));
+    state.SetLabel("items = epochs");
+}
+BENCHMARK(BM_FingerprintRun)->Unit(benchmark::kMillisecond);
+
 static void
 BM_DramRandomReads(benchmark::State &state)
 {

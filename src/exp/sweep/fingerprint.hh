@@ -14,6 +14,8 @@
 #ifndef DVFS_EXP_SWEEP_FINGERPRINT_HH
 #define DVFS_EXP_SWEEP_FINGERPRINT_HH
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -29,14 +31,25 @@ namespace dvfs::exp::sweep {
 class Fnv1a
 {
   public:
-    /** Fold a 64-bit word into the digest, byte by byte. */
+    /**
+     * Fold a 64-bit word into the digest, low byte first.
+     *
+     * The result is byte-serial FNV-1a over all eight bytes. A zero
+     * byte's step is just `h *= P` (XOR with 0 is a no-op), so the
+     * word's high zero bytes fold into one multiply by P^k. Most
+     * digested counters are small, so this skips most of the steps.
+     */
     void
     mix(std::uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
-            _h ^= (v >> (i * 8)) & 0xff;
-            _h *= 0x100000001b3ULL;
+        const unsigned bytes =
+            (71u - static_cast<unsigned>(std::countl_zero(v))) / 8;
+        for (unsigned i = 0; i < bytes; ++i) {
+            _h ^= v & 0xff;
+            _h *= kPrime;
+            v >>= 8;
         }
+        _h *= kPrimePow[8 - bytes];
     }
 
     /** Fold a double via its bit pattern (exact, not rounded). */
@@ -56,13 +69,24 @@ class Fnv1a
         mix(s.size());
         for (unsigned char c : s) {
             _h ^= c;
-            _h *= 0x100000001b3ULL;
+            _h *= kPrime;
         }
     }
 
     std::uint64_t digest() const { return _h; }
 
   private:
+    static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+
+    /** kPrimePow[k] = kPrime^k (mod 2^64): k zero bytes in one step. */
+    static constexpr std::array<std::uint64_t, 9> kPrimePow = [] {
+        std::array<std::uint64_t, 9> p{};
+        p[0] = 1;
+        for (std::size_t k = 1; k < p.size(); ++k)
+            p[k] = p[k - 1] * kPrime;
+        return p;
+    }();
+
     std::uint64_t _h = 0xcbf29ce484222325ULL;
 };
 

@@ -47,6 +47,14 @@ RunRecorder::closeEpoch(const os::SyncEvent &ev, const os::System &sys)
     ep.stallTid = (ev.kind == os::SyncEventKind::FutexWait)
                       ? ev.tid
                       : os::kNoThread;
+    // One exact-size allocation per epoch instead of push_back's
+    // growth steps: sync-bound runs close tens of thousands of epochs.
+    std::size_t running = 0;
+    for (std::size_t tid = 0; tid < n; ++tid) {
+        running += sys.thread(static_cast<os::ThreadId>(tid)).state ==
+                   os::ThreadState::Running;
+    }
+    ep.active.reserve(running);
     for (std::size_t tid = 0; tid < n; ++tid) {
         const os::Thread &t = sys.thread(static_cast<os::ThreadId>(tid));
         // The listener runs before the event's state change, so a

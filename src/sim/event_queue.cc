@@ -128,10 +128,12 @@ EventQueue::cancel(EventId id)
 void
 EventQueue::cascade(unsigned level, unsigned idx)
 {
-    // The caller moved the cursor to this slot's start tick; every
-    // entry re-files at a strictly lower level (its tick now agrees
-    // with the cursor in all bytes at or above `level`). Walking the
-    // FIFO in order keeps same-tick entries in insertion order.
+    // The caller moved the cursor to this slot's earliest tick (or a
+    // lower bound of it within the slot); every entry re-files at a
+    // strictly lower level (its tick now agrees with the cursor in all
+    // bytes at or above `level`), and the earliest ones land on level
+    // 0. Walking the FIFO in order keeps same-tick entries in
+    // insertion order.
     List &l = _slots[level * kSlotsPerLevel + idx];
     Entry *e = l.head;
     l.head = l.tail = nullptr;
@@ -210,13 +212,12 @@ EventQueue::advance(Tick limit, Tick *tick_out)
             *tick_out = t;
             return &_slots[idx];
         }
-        const unsigned shift = level * kLevelBits;
-        const Tick span_mask = (Tick{1} << (shift + kLevelBits)) - 1;
-        const Tick start =
-            (_cursor & ~span_mask) | (Tick{idx} << shift);
-        if (start >= limit)
+        // Jump to the slot's earliest tick, not its start, so the
+        // cascade files those entries straight on level 0.
+        const Tick earliest = _slotMin[level * kSlotsPerLevel + idx];
+        if (earliest >= limit)
             return nullptr;
-        _cursor = start;
+        _cursor = earliest;
         cascade(level, idx);
     }
 }

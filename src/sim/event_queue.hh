@@ -250,7 +250,10 @@ class EventQueue
         const unsigned idx = static_cast<unsigned>(
             (e->when >> (level * kLevelBits)) & (kSlotsPerLevel - 1));
         const unsigned s = level * kSlotsPerLevel + idx;
-        append(_slots[s], e);
+        List &l = _slots[s];
+        if (l.head == nullptr || e->when < _slotMin[s])
+            _slotMin[s] = e->when;
+        append(l, e);
         e->home = static_cast<std::uint16_t>(s);
         _occ[level][idx / 64] |= std::uint64_t{1} << (idx % 64);
         _levelMask |= 1u << level;
@@ -273,11 +276,20 @@ class EventQueue
      * event at that tick. Returns nullptr if the queue is empty or
      * the earliest event is at or beyond @p limit (cursor untouched
      * past that point, so later schedules stay well-formed).
+     *
+     * When the lowest non-empty level is above 0, its first occupied
+     * slot holds the earliest pending events. The cursor jumps to the
+     * earliest tick in that slot (_slotMin), not to the slot's start,
+     * so the cascade files those events directly on level 0. An event
+     * is then re-filed about once on its way down instead of once
+     * per level. This is sound because every level below is empty
+     * and every entry of the slot is at or after that tick.
      */
     List *advance(Tick limit, Tick *tick_out);
 
     /** Re-place every entry of an upper-level slot after the cursor
-     *  moved to the slot's start (FIFO order preserved). */
+     *  moved to the slot's earliest tick (FIFO order preserved, so
+     *  same-tick entries keep insertion order). */
     void cascade(unsigned level, unsigned idx);
 
     /** Move the cursor to the overflow minimum and drain every
@@ -301,6 +313,13 @@ class EventQueue
     std::uint64_t _executed;
 
     List _slots[kLevels * kSlotsPerLevel];
+    /**
+     * Per non-empty slot, the earliest tick filed into it since it was
+     * last empty. A cancel of that entry leaves it below the slot's
+     * real minimum but never below the slot's start, so advance()'s
+     * jump is then merely shorter. Meaningless for an empty slot.
+     */
+    Tick _slotMin[kLevels * kSlotsPerLevel] = {};
     std::uint64_t _occ[kLevels][kOccWords];  ///< slot occupancy bitmaps
     std::uint32_t _levelMask;                ///< bit l: level l non-empty
     List _overflow;

@@ -11,12 +11,18 @@
  * full observable trace (firing order, firing ticks, cancel results)
  * must match bit for bit.
  *
+ * A second stream has the simulator's shape: a few dozen live
+ * events that each reschedule themselves 1 ns to 20 us ahead at
+ * femtosecond ticks, so most placements land on wheel levels 2-4 and
+ * reach level 0 through the cascade.
+ *
  * The edge-case tests pin down the wheel-specific machinery the
  * random stream is unlikely to stress deterministically: scheduling
  * at the current tick, cancelling entries parked in the far-future
  * overflow list (before and after a rebase), cursor movement across
- * every wheel level, and pool reuse under a million schedule/cancel
- * cycles.
+ * every wheel level, a runUntil limit that stops short of an upper
+ * slot's earliest entry, and pool reuse under a million
+ * schedule/cancel cycles.
  */
 
 #include <gtest/gtest.h>
@@ -140,6 +146,126 @@ longHorizonScript(std::uint32_t seed)
     return trace;
 }
 
+/** Tokens for now() after a runUntil, and pending() at the end. */
+constexpr std::uint64_t kNowMark = 0x2000000000000000ull;
+constexpr std::uint64_t kPendingMark = 0x1000000000000000ull;
+
+/**
+ * Simulator-shaped traffic: @p actors live events, each rescheduling
+ * itself on every firing, plus one-shot same-tick bursts.
+ *
+ * Deltas are femtoseconds between 1 ns and 20 us, a fifth of them
+ * exactly 20 us (timeslice-style repeats that collide with each
+ * other). Every 8th firing cancels the next actor's pending event and
+ * re-arms it at the same tick, which moves it behind any same-tick
+ * peers; that entry usually sits in a slot the cascade just re-filed.
+ * Deltas come from a table fixed before the run, indexed by actor and
+ * firing count, so both queues see the same stream whatever order
+ * they fire in.
+ */
+template <typename Queue>
+class SimShapedScript
+{
+  public:
+    SimShapedScript(std::uint32_t seed, unsigned actors)
+        : _rng(seed), _ids(actors, sim::kNoEvent), _whens(actors, 0),
+          _steps(actors, 0)
+    {
+        for (unsigned i = 0; i < 4096; ++i) {
+            _deltas.push_back(
+                _rng.nextBool(0.2)
+                    ? 20 * kTicksPerUs
+                    : _rng.nextRange(kTicksPerNs, 20 * kTicksPerUs));
+        }
+    }
+
+    std::vector<TraceStep>
+    run(unsigned rounds)
+    {
+        for (unsigned a = 0; a < _ids.size(); ++a)
+            arm(a, _deltas[a]);
+        std::uint64_t burst_tok = 1'000'000;
+        for (unsigned r = 0; r < rounds; ++r) {
+            const std::uint32_t op =
+                static_cast<std::uint32_t>(_rng.nextBounded(100));
+            if (op < 15) {
+                // Same-tick burst inside one upper slot: an earlier
+                // one-shot, then three at a later shared tick. The
+                // limit probe below often stops between the slot's
+                // start and its earliest entry.
+                const Tick base =
+                    _q.now() + _rng.nextRange(Tick{1} << 16, Tick{1} << 34);
+                const Tick t = base | 0xC000;
+                record(burst_tok++, t - 0x100);
+                for (int k = 0; k < 3; ++k)
+                    record(burst_tok++, t);
+                _q.runUntil((base & ~Tick{0xFFFF}) + 0x100);
+                _trace.emplace_back(kNowMark, _q.now());
+            } else if (op < 30) {
+                // Cancel an actor from outside and re-arm it.
+                const unsigned a = static_cast<unsigned>(
+                    _rng.nextBounded(_ids.size()));
+                _trace.emplace_back(
+                    _q.cancel(_ids[a]) ? kCancelHit : kCancelMiss,
+                    _q.now());
+                arm(a, _rng.nextRange(kTicksPerNs, 20 * kTicksPerUs));
+            } else {
+                _q.runUntil(_q.now() +
+                            _rng.nextRange(1, 30 * kTicksPerUs));
+                _trace.emplace_back(kNowMark, _q.now());
+            }
+        }
+        _trace.emplace_back(kPendingMark, _q.pending());
+        return std::move(_trace);
+    }
+
+  private:
+    /** Fires actor @p a; a 16-byte capture, like the simulator's. */
+    struct Fire {
+        SimShapedScript *s;
+        unsigned a;
+        void operator()() const { s->fire(a); }
+    };
+
+    void
+    arm(unsigned a, Tick delta)
+    {
+        _whens[a] = _q.now() + delta;
+        _ids[a] = _q.schedule(_whens[a], Fire{this, a});
+    }
+
+    void
+    record(std::uint64_t tok, Tick when)
+    {
+        _q.schedule(when, [this, tok] {
+            _trace.emplace_back(tok, _q.now());
+        });
+    }
+
+    void
+    fire(unsigned a)
+    {
+        _trace.emplace_back(a + 1, _q.now());
+        const std::uint32_t step = _steps[a]++;
+        arm(a, _deltas[(a * 7919u + step) % _deltas.size()]);
+        if (step % 8 == 7) {
+            const unsigned b = (a + 1) % _ids.size();
+            const bool hit = _q.cancel(_ids[b]);
+            _trace.emplace_back(hit ? kCancelHit : kCancelMiss, _q.now());
+            if (hit)
+                _ids[b] = _q.schedule(_whens[b], Fire{this, b});
+        }
+    }
+
+    sim::Rng _rng;
+    Queue _q;
+    std::vector<TraceStep> _trace;
+    std::vector<Tick> _deltas;
+    std::vector<EventId> _ids;
+    std::vector<Tick> _whens;
+    std::vector<std::uint32_t> _steps;
+};
+
 } // namespace
 
 TEST(EventQueueDifferential, WheelMatchesReferenceHeap)
@@ -162,6 +288,55 @@ TEST(EventQueueDifferential, LongHorizonStreamMatches)
         auto heap = longHorizonScript<sim::ReferenceEventQueue>(seed);
         EXPECT_EQ(wheel, heap) << "seed " << seed;
     }
+}
+
+TEST(EventQueueDifferential, SimulatorShapedTrafficMatches)
+{
+    for (unsigned actors : {4u, 8u, 23u, 64u}) {
+        for (std::uint32_t seed : {11u, 12u}) {
+            auto wheel =
+                SimShapedScript<sim::EventQueue>(seed, actors).run(3000);
+            auto heap = SimShapedScript<sim::ReferenceEventQueue>(
+                            seed, actors)
+                            .run(3000);
+            ASSERT_EQ(wheel.size(), heap.size())
+                << "actors " << actors << " seed " << seed;
+            for (std::size_t i = 0; i < wheel.size(); ++i) {
+                ASSERT_EQ(wheel[i], heap[i]) << "actors " << actors
+                                             << " seed " << seed
+                                             << " step " << i;
+            }
+        }
+    }
+}
+
+TEST(EventQueueWheel, LimitBeforeUpperSlotsEarliestEntry)
+{
+    sim::EventQueue q;
+    std::vector<int> order;
+    // Level 3, slot 5: the slot starts at 5<<24 and its only entry
+    // sits 0x123456 ticks later.
+    const Tick slot_start = Tick{5} << 24;
+    const Tick far = slot_start + 0x123456;
+    q.schedule(far, [&] { order.push_back(3); });
+
+    // The limit lies past the slot's start but before its entry:
+    // nothing fires and time stops at the limit.
+    const Tick limit = slot_start + 0x1000;
+    EXPECT_EQ(q.runUntil(limit), 0u);
+    EXPECT_EQ(q.now(), limit);
+    EXPECT_TRUE(order.empty());
+
+    // Events at and just after the limit still fire before the
+    // parked entry, in tick order.
+    q.schedule(limit + 1, [&] { order.push_back(2); });
+    q.schedule(limit, [&] { order.push_back(1); });
+    EXPECT_EQ(q.runUntil(far), 2u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(q.now(), far);
+    EXPECT_EQ(q.run(), 1u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(q.now(), far);
 }
 
 TEST(EventQueueWheel, ScheduleAtCurrentTickFiresInBatch)
