@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,11 +23,16 @@
 #include "exp/experiment.hh"
 #include "exp/sweep/fingerprint.hh"
 #include "exp/sweep/sweep.hh"
+#include "pred/predictors.hh"
+#include "pred/record.hh"
 #include "sim/event_queue.hh"
+#include "sim/log.hh"
 #include "sim/rng.hh"
 #include "uarch/cache.hh"
 #include "uarch/core.hh"
 #include "uarch/dram.hh"
+#include "uarch/fastpath.hh"
+#include "wl/builder.hh"
 
 using namespace dvfs;
 
@@ -91,17 +97,27 @@ BM_EventQueueSteadyState(benchmark::State &state)
 BENCHMARK(BM_EventQueueSteadyState)->Arg(8)->Arg(64);
 
 /**
- * The replay digest over avrora's 1 GHz sampled record (~67k epochs,
- * the most sync-bound cell of the sampled sweep). The run is
- * simulated once, outside the timed loop.
+ * avrora's 1 GHz sampled run (~67k epochs, the most sync-bound cell
+ * of the sampled sweep), simulated once per process, outside every
+ * timed loop.
  */
+static const exp::FixedRunOutput &
+avroraSampled()
+{
+    static const exp::FixedRunOutput out = [] {
+        exp::RunOptions opts;
+        opts.mode = exp::SimMode::Sampled;
+        return exp::runFixed(wl::benchmarkByName("avrora"),
+                             Frequency::ghz(1.0), opts);
+    }();
+    return out;
+}
+
+/** The replay digest over avrora's 1 GHz sampled record. */
 static void
 BM_FingerprintRun(benchmark::State &state)
 {
-    exp::RunOptions opts;
-    opts.mode = exp::SimMode::Sampled;
-    const auto out = exp::runFixed(wl::benchmarkByName("avrora"),
-                                   Frequency::ghz(1.0), opts);
+    const exp::FixedRunOutput &out = avroraSampled();
     for (auto _ : state)
         benchmark::DoNotOptimize(exp::sweep::fingerprintRun(out));
     state.SetItemsProcessed(
@@ -110,6 +126,114 @@ BM_FingerprintRun(benchmark::State &state)
     state.SetLabel("items = epochs");
 }
 BENCHMARK(BM_FingerprintRun)->Unit(benchmark::kMillisecond);
+
+/**
+ * Epoch close at a sync boundary: a machine with 6 application
+ * threads on 4 cores, stopped mid-run, closes one epoch per
+ * iteration. The recorder is replaced (untimed) every 4096 epochs so
+ * the record stays small.
+ */
+static void
+BM_CloseEpoch(benchmark::State &state)
+{
+    wl::BenchInstance inst =
+        wl::buildBenchmark(wl::syntheticSmall(6, 1000),
+                           wl::defaultSystemConfig(Frequency::ghz(1.0)));
+    // Stopping at the limit is the point here, not a deadlock: keep
+    // System::run's early-stop warning out of the output.
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Quiet);
+    inst.sys->run(200 * kTicksPerUs);
+    setLogLevel(level);
+    auto rec = std::make_unique<pred::RunRecorder>(*inst.sys);
+    os::SyncEvent ev{inst.sys->now(), os::SyncEventKind::SchedOut, 0,
+                     os::kNoSync};
+    std::size_t closed = 0;
+    for (auto _ : state) {
+        if (closed++ % 4096 == 0) {
+            state.PauseTiming();
+            rec = std::make_unique<pred::RunRecorder>(*inst.sys);
+            state.ResumeTiming();
+        }
+        ev.tick += 1;
+        rec->onSyncEvent(ev, *inst.sys);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel("items = epochs, " +
+                   std::to_string(inst.sys->scheduler().busyCores()) +
+                   " of 4 cores busy");
+}
+BENCHMARK(BM_CloseEpoch);
+
+/**
+ * DEP+BURST over avrora's sampled record at 4 GHz: Arg(0) is one
+ * 50 us manager quantum from mid-run, Arg(1) the whole record.
+ */
+static void
+BM_PredictEpochRange(benchmark::State &state)
+{
+    const std::vector<pred::Epoch> &epochs = avroraSampled().record.epochs;
+    std::size_t first = 0, last = epochs.size();
+    if (state.range(0) == 0) {
+        const Tick from = epochs[epochs.size() / 2].start;
+        first = epochs.size() / 2;
+        last = first;
+        while (last < epochs.size() &&
+               epochs[last].end <= from + 50 * kTicksPerUs)
+            ++last;
+    }
+    const pred::DepPredictor dep({pred::BaseEstimator::Crit, true}, true);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            dep.predictEpochRange(epochs, first, last, 0.25));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(last - first));
+    state.SetLabel("items = epochs");
+}
+BENCHMARK(BM_PredictEpochRange)->Arg(0)->Arg(1);
+
+/**
+ * Fast-path charge of one miss cluster from a fitted era (avrora's
+ * single-load shape): the per-action cost of a sampled gap.
+ */
+static void
+BM_ChargeCluster(benchmark::State &state)
+{
+    uarch::FastPathModel model(4);
+    uarch::MissClusterSpec full;
+    full.chains = {{0x1000}};
+    full.overlapInstructions = 200;
+    full.shapeHint = 1;
+    for (std::uint64_t i = 0; i < 13; ++i) {
+        uarch::PerfCounters d;
+        d.computeTime = 200'000 + 7'919 * i;
+        d.trueMemTime = 31'337 * (i % 3);
+        d.critNonscaling = d.trueMemTime;
+        d.leadingNonscaling = d.trueMemTime;
+        d.stallNonscaling = d.trueMemTime / 2;
+        d.l1Hits = i % 2;
+        d.l2Hits = (i + 1) % 2;
+        d.dramLoads = i % 5 == 0;
+        model.observeCluster(full, 4,
+                             d.computeTime + d.trueMemTime + 1'234 * i, d);
+    }
+    model.age();
+    uarch::MissClusterSpec lite;
+    lite.overlapInstructions = full.overlapInstructions;
+    lite.shapeHint = full.shapeHint;
+    lite.liteChains = 1;
+    lite.liteChainDepth = 1;
+    uarch::PerfCounters pc;
+    Tick elapsed = 0, total = 0;
+    for (auto _ : state) {
+        model.chargeCluster(lite, 4, elapsed, pc);
+        total += elapsed;
+    }
+    benchmark::DoNotOptimize(total);
+    benchmark::DoNotOptimize(pc);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChargeCluster);
 
 static void
 BM_DramRandomReads(benchmark::State &state)

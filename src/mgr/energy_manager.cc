@@ -74,11 +74,11 @@ EnergyManager::predictQuantum(std::size_t epoch_first,
                               std::size_t epoch_last, double ratio,
                               bool &used_epochs) const
 {
-    const auto &epochs = _rec.epochs();
     if (epoch_last > epoch_first) {
+        DVFS_ASSERT(epoch_first == _termsFirst && epoch_last == _termsLast,
+                    "quantum prediction outside the compacted span");
         used_epochs = true;
-        return _dep.predictEpochRange(epochs, epoch_first, epoch_last,
-                                      ratio);
+        return _dep.predictTerms(_terms, ratio);
     }
 
     // No synchronization activity this quantum: fall back to the
@@ -111,6 +111,12 @@ EnergyManager::onQuantum()
     ++_sinceChange;
     if (_sinceChange >= _cfg.holdOff * _backoff) {
         bool used_epochs = false;
+
+        // The quantum's epochs are reduced once; every candidate below
+        // reruns only the scaling arithmetic over them.
+        _dep.compactEpochs(epochs, first, last, _terms);
+        _termsFirst = first;
+        _termsLast = last;
 
         // Step 1: what would this quantum have taken at the highest
         // frequency?

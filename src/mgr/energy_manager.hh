@@ -138,6 +138,10 @@ class EnergyManager
     const power::VfTable &_table;
     ManagerConfig _cfg;
     pred::DepPredictor _dep;
+    /** The deciding quantum's epochs [_termsFirst, _termsLast). */
+    pred::EpochTerms _terms;
+    std::size_t _termsFirst = 0;
+    std::size_t _termsLast = 0;
 
     std::size_t _epochCursor = 0;
     std::vector<uarch::PerfCounters> _lastCounters;

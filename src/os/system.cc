@@ -335,19 +335,18 @@ System::dispatch(Thread &t)
         return;
     }
 
-    std::optional<Action> a;
-    if (_interceptor)
-        a = _interceptor->interceptNext(t);
-    if (!a) {
-        ThreadContext ctx{t.id, t.rng,
-                          _sampler && _sampler->fastForward()};
-        a = t.program->next(ctx);
+    if (_interceptor) {
+        if (std::optional<Action> a = _interceptor->interceptNext(t)) {
+            execute(t, std::move(*a));
+            return;
+        }
     }
-    execute(t, std::move(*a));
+    ThreadContext ctx{t.id, t.rng, _sampler && _sampler->fastForward()};
+    execute(t, t.program->next(ctx));
 }
 
 void
-System::execute(Thread &t, Action a)
+System::execute(Thread &t, Action &&a)
 {
     if (_sampler && _sampler->fastForward()) {
         switch (a.kind) {
@@ -365,7 +364,7 @@ System::execute(Thread &t, Action a)
 }
 
 void
-System::executeDetailed(Thread &t, Action a)
+System::executeDetailed(Thread &t, Action &&a)
 {
     DVFS_PROFILE_SCOPE(Os);
     DVFS_ASSERT(t.core >= 0, "executing on no core");
@@ -445,7 +444,7 @@ System::executeDetailed(Thread &t, Action a)
 }
 
 void
-System::executeFastForward(Thread &t, Action first)
+System::executeFastForward(Thread &t, Action &&a)
 {
     DVFS_PROFILE_SCOPE(Os);
     DVFS_ASSERT(t.core >= 0, "executing on no core");
@@ -460,9 +459,9 @@ System::executeFastForward(Thread &t, Action first)
 
     Tick vt = lumpStart;
     uarch::PerfCounters acc;
-    std::optional<Action> tail;
+    // Set when `a` is a non-chargeable action that ends the lump.
+    bool tail = false;
     std::uint64_t charged = 0;
-    Action a = std::move(first);
 
     while (true) {
         if (a.kind == ActionKind::Alloc) {
@@ -470,19 +469,19 @@ System::executeFastForward(Thread &t, Action first)
             // the lump: a zero-init replacement is charged like any
             // other action; a GC park replacement terminates the lump
             // below as a non-chargeable action.
-            std::optional<Action> repl;
-            if (_interceptor)
-                repl = _interceptor->onAlloc(t, a.allocBytes);
-            if (repl) {
-                a = std::move(*repl);
-                continue;
+            if (_interceptor) {
+                if (std::optional<Action> repl =
+                        _interceptor->onAlloc(t, a.allocBytes)) {
+                    a = std::move(*repl);
+                    continue;
+                }
             }
             // No managed runtime: allocation is free; pull the next
             // action.
         } else {
             Tick elapsed = 0;
             if (!chargeFastForward(t, a, vt, elapsed, acc)) {
-                tail = std::move(a);
+                tail = true;
                 break;
             }
             vt += elapsed;
@@ -495,14 +494,15 @@ System::executeFastForward(Thread &t, Action first)
         }
         // Pull the next action exactly as dispatch() would, with the
         // lite-timing hint raised.
-        std::optional<Action> next;
-        if (_interceptor)
-            next = _interceptor->interceptNext(t);
-        if (!next) {
-            ThreadContext ctx{t.id, t.rng, true};
-            next = t.program->next(ctx);
+        if (_interceptor) {
+            if (std::optional<Action> next =
+                    _interceptor->interceptNext(t)) {
+                a = std::move(*next);
+                continue;
+            }
         }
-        a = std::move(*next);
+        ThreadContext ctx{t.id, t.rng, true};
+        a = t.program->next(ctx);
     }
 
     if (charged == 0 && tail) {
@@ -510,13 +510,14 @@ System::executeFastForward(Thread &t, Action first)
         // non-timed action): nothing accumulated, run it exactly.
         // Never a lite spec — lite work is always chargeable (naive
         // fallback), so a tail is either sync/exit or a full spec.
-        executeDetailed(t, std::move(*tail));
+        executeDetailed(t, std::move(a));
         return;
     }
 
     stats.ffCommits += 1;
     t.ffAccum = acc;
-    t.ffPending = std::move(tail);
+    if (tail)
+        t.ffPending = std::move(a);
     Thread *tp = &t;
     _eq.schedule(vt, [this, tp] { commitFastForward(*tp); });
 }

@@ -298,17 +298,18 @@ class System
     void dispatch(Thread &t);
 
     /** Execute one action for a running thread. */
-    void execute(Thread &t, Action a);
+    void execute(Thread &t, Action &&a);
 
     /** The cycle-accurate half of execute() (detail phase/fallback). */
-    void executeDetailed(Thread &t, Action a);
+    void executeDetailed(Thread &t, Action &&a);
 
     /**
      * Fast-forward batching: charge @p first and as many subsequent
      * actions as possible analytically, then schedule one lump-commit
-     * event at the accumulated virtual time.
+     * event at the accumulated virtual time. @p a is the lump's
+     * working slot: each pulled action is written into it in place.
      */
-    void executeFastForward(Thread &t, Action first);
+    void executeFastForward(Thread &t, Action &&a);
 
     /**
      * Charge one action from the fast-path model at virtual time

@@ -1,7 +1,6 @@
 #include "pred/predictors.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/log.hh"
 
@@ -167,23 +166,93 @@ DepPredictor::predictEpochRange(const std::vector<Epoch> &epochs,
                                 std::size_t first, std::size_t last,
                                 double ratio) const
 {
-    // Delta counters (Algorithm 1): accumulated slack per thread.
-    // Keyed sparsely: thread ids are small and dense in practice.
+    // Compact and evaluate block by block: the block's terms stay in
+    // cache, and a whole-run prediction never materialises the run's
+    // terms. Algorithm 1's state carries across blocks, and the
+    // running total is summed epoch by epoch as in one pass.
+    constexpr std::size_t kBlockEpochs = 256;
+    last = std::min(last, epochs.size());
+    EpochTerms block;
     std::vector<double> delta;
-    auto delta_of = [&delta](os::ThreadId tid) -> double & {
-        if (tid >= delta.size())
-            delta.resize(tid + 1, 0.0);
-        return delta[tid];
+    double total = 0.0;
+    for (std::size_t i = first; i < last; i += kBlockEpochs) {
+        compactEpochs(epochs, i, std::min(last, i + kBlockEpochs), block);
+        accumulateTerms(block, ratio, delta, total);
+    }
+    return static_cast<Tick>(roundHalfAway(total));
+}
+
+void
+DepPredictor::compactEpochs(const std::vector<Epoch> &epochs,
+                            std::size_t first, std::size_t last,
+                            EpochTerms &out) const
+{
+    out.clear();
+    last = std::min(last, epochs.size());
+    if (first >= last)
+        return;
+    out.epochs.reserve(last - first);
+    for (std::size_t i = first; i < last; ++i) {
+        const Epoch &ep = epochs[i];
+        EpochTerms::Span span;
+        span.duration = ep.duration();
+        span.active = static_cast<std::uint32_t>(ep.active.size());
+        span.stallTid = ep.stallTid;
+        if (ep.stallTid != os::kNoThread)
+            out.threads = std::max<std::size_t>(out.threads,
+                                                ep.stallTid + 1u);
+        out.maxActive = std::max<std::size_t>(out.maxActive,
+                                              ep.active.size());
+        for (const EpochThread &et : ep.active) {
+            // predictSpan's split with the span set to the thread's
+            // busy time, so only the rounding of the scaled part is
+            // left for predictTerms.
+            EpochTerms::Term t;
+            t.tid = et.tid;
+            t.nonscaling = std::min(nonscalingTime(et.delta, _spec),
+                                    et.delta.busyTime);
+            t.scaling = et.delta.busyTime - t.nonscaling;
+            out.terms.push_back(t);
+            out.threads = std::max<std::size_t>(out.threads, et.tid + 1u);
+        }
+        out.epochs.push_back(span);
+    }
+}
+
+Tick
+DepPredictor::predictTerms(const EpochTerms &terms, double ratio) const
+{
+    std::vector<double> delta;
+    double total = 0.0;
+    accumulateTerms(terms, ratio, delta, total);
+    return static_cast<Tick>(roundHalfAway(total));
+}
+
+void
+DepPredictor::accumulateTerms(const EpochTerms &terms, double ratio,
+                              std::vector<double> &delta,
+                              double &total) const
+{
+    auto scaled = [ratio](const EpochTerms::Term &t) {
+        return scaleSplit(t.scaling, t.nonscaling, ratio);
     };
 
-    double total = 0.0;
-    for (std::size_t i = first; i < last && i < epochs.size(); ++i) {
-        const Epoch &ep = epochs[i];
+    // Delta counters (Algorithm 1): accumulated slack per thread.
+    if (delta.size() < terms.threads)
+        delta.resize(terms.threads, 0.0);
+    // Each active thread's a_t, computed once per epoch and reused by
+    // the slack update.
+    std::vector<double> a(terms.maxActive);
 
-        if (ep.active.empty()) {
+    const EpochTerms::Term *term = terms.terms.data();
+    for (const EpochTerms::Span &ep : terms.epochs) {
+        const EpochTerms::Term *const ep_terms = term;
+        term += ep.active;
+
+        if (ep.active == 0) {
             // Nothing was scheduled (e.g. everyone asleep around a
             // wake chain): the gap does not scale with frequency.
-            total += static_cast<double>(ep.duration());
+            total += static_cast<double>(ep.duration);
             continue;
         }
 
@@ -191,33 +260,26 @@ DepPredictor::predictEpochRange(const std::vector<Epoch> &epochs,
             // Per-epoch CTP: the epoch lasts as long as its slowest
             // active thread, with no memory of earlier epochs.
             Tick crit = 0;
-            for (const EpochThread &et : ep.active) {
-                crit = std::max(crit, predictSpan(et.delta.busyTime,
-                                                  et.delta, _spec, ratio));
-            }
+            for (std::uint32_t k = 0; k < ep.active; ++k)
+                crit = std::max(crit, scaled(ep_terms[k]));
             total += static_cast<double>(crit);
             continue;
         }
 
         // Across-epoch CTP, Algorithm 1 of the paper.
         double epoch_pred = 0.0;
-        for (const EpochThread &et : ep.active) {
-            double a_t = static_cast<double>(
-                predictSpan(et.delta.busyTime, et.delta, _spec, ratio));
-            double e_t = a_t - delta_of(et.tid);
+        for (std::uint32_t k = 0; k < ep.active; ++k) {
+            a[k] = static_cast<double>(scaled(ep_terms[k]));
+            double e_t = a[k] - delta[ep_terms[k].tid];
             epoch_pred = std::max(epoch_pred, e_t);
         }
         epoch_pred = std::max(epoch_pred, 0.0);
-        for (const EpochThread &et : ep.active) {
-            double a_t = static_cast<double>(
-                predictSpan(et.delta.busyTime, et.delta, _spec, ratio));
-            delta_of(et.tid) += epoch_pred - a_t;
-        }
+        for (std::uint32_t k = 0; k < ep.active; ++k)
+            delta[ep_terms[k].tid] += epoch_pred - a[k];
         if (ep.stallTid != os::kNoThread)
-            delta_of(ep.stallTid) = 0.0;
+            delta[ep.stallTid] = 0.0;
         total += epoch_pred;
     }
-    return static_cast<Tick>(std::llround(total));
 }
 
 Tick

@@ -26,6 +26,7 @@
 #ifndef DVFS_PRED_PREDICTORS_HH
 #define DVFS_PRED_PREDICTORS_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,6 +107,44 @@ class CoopPredictor : public Predictor
 };
 
 /**
+ * A span of epochs reduced to what DEP reads of it: per epoch its
+ * duration and stall thread, per active thread its scaling and
+ * non-scaling time under one ModelSpec. Compacting is the ratio-free
+ * half of DEP, done once; evaluating the terms at a ratio is the
+ * arithmetic half, repeated per candidate frequency (the energy
+ * manager evaluates one quantum at every operating point).
+ */
+struct EpochTerms {
+    /** One active thread's share of one epoch. */
+    struct Term {
+        os::ThreadId tid = os::kNoThread;
+        Tick scaling = 0;     ///< busyTime - nonscaling
+        Tick nonscaling = 0;  ///< nonscalingTime() clamped to busyTime
+    };
+
+    /** One epoch; its terms follow its predecessors' in `terms`. */
+    struct Span {
+        Tick duration = 0;
+        std::uint32_t active = 0;  ///< number of terms (active threads)
+        os::ThreadId stallTid = os::kNoThread;
+    };
+
+    std::vector<Span> epochs;
+    std::vector<Term> terms;
+    std::size_t threads = 0;    ///< 1 + the largest tid named
+    std::size_t maxActive = 0;  ///< most terms in one epoch
+
+    void
+    clear()
+    {
+        epochs.clear();
+        terms.clear();
+        threads = 0;
+        maxActive = 0;
+    }
+};
+
+/**
  * DEP: synchronization-epoch decomposition with critical-thread
  * prediction, per-epoch or across-epoch (Algorithm 1).
  */
@@ -139,7 +178,30 @@ class DepPredictor : public Predictor
                            std::size_t first, std::size_t last,
                            double ratio) const;
 
+    /**
+     * The ratio-free half of predictEpochRange: reduce epochs
+     * [first, last) to @p out (cleared first, capacity kept).
+     */
+    void compactEpochs(const std::vector<Epoch> &epochs,
+                       std::size_t first, std::size_t last,
+                       EpochTerms &out) const;
+
+    /**
+     * The arithmetic half: predicted duration of compacted epochs at
+     * @p ratio = f_base / f_target. Bit-identical to
+     * predictEpochRange over the same span.
+     */
+    Tick predictTerms(const EpochTerms &terms, double ratio) const;
+
   private:
+    /**
+     * Run DEP over @p terms, continuing from the Algorithm 1 slack
+     * @p delta (grown as needed) and adding each epoch's prediction
+     * to @p total in order.
+     */
+    void accumulateTerms(const EpochTerms &terms, double ratio,
+                         std::vector<double> &delta, double &total) const;
+
     ModelSpec _spec;
     bool _acrossEpochs;
 };

@@ -1,5 +1,7 @@
 #include "pred/record.hh"
 
+#include <utility>
+
 #include "sim/log.hh"
 
 namespace dvfs::pred {
@@ -47,30 +49,40 @@ RunRecorder::closeEpoch(const os::SyncEvent &ev, const os::System &sys)
     ep.stallTid = (ev.kind == os::SyncEventKind::FutexWait)
                       ? ev.tid
                       : os::kNoThread;
+    // The listener runs before the event's state change, so the
+    // threads still marked Running — exactly the core occupants
+    // (schedIn assigns the core before it emits; SchedOut, FutexWait
+    // and ThreadExit emit before the core is vacated) — were
+    // scheduled during the closing epoch. Reading them off the core
+    // table costs at most `cores` probes instead of a walk over every
+    // thread; an insertion sort restores ascending tid order, which
+    // the record's fingerprint depends on.
+    const os::Scheduler &sched = sys.scheduler();
+    _running.clear();
+    for (std::uint32_t c = 0; c < sched.cores(); ++c) {
+        const os::ThreadId tid = sched.occupant(c);
+        if (tid == os::kNoThread)
+            continue;
+        _running.push_back(tid);
+        for (std::size_t j = _running.size() - 1;
+             j > 0 && _running[j - 1] > tid; --j)
+            std::swap(_running[j - 1], _running[j]);
+    }
     // One exact-size allocation per epoch instead of push_back's
     // growth steps: sync-bound runs close tens of thousands of epochs.
-    std::size_t running = 0;
-    for (std::size_t tid = 0; tid < n; ++tid) {
-        running += sys.thread(static_cast<os::ThreadId>(tid)).state ==
-                   os::ThreadState::Running;
-    }
-    ep.active.reserve(running);
-    for (std::size_t tid = 0; tid < n; ++tid) {
-        const os::Thread &t = sys.thread(static_cast<os::ThreadId>(tid));
-        // The listener runs before the event's state change, so a
-        // thread still marked Running was scheduled during the closing
-        // epoch. Only counted threads have their snapshot refreshed:
+    ep.active.reserve(_running.size());
+    for (const os::ThreadId tid : _running) {
+        const uarch::PerfCounters &now = sys.thread(tid).counters;
+        // Only counted threads have their snapshot refreshed:
         // counters committed while a thread was briefly on a core
         // between boundaries (same-tick preemptions) must carry
         // forward to the next epoch that observes the thread running,
         // or they would silently vanish from the decomposition.
-        if (t.state == os::ThreadState::Running) {
-            EpochThread et;
-            et.tid = t.id;
-            et.delta = t.counters - _snapshots[tid];
-            ep.active.push_back(et);
-            _snapshots[tid] = t.counters;
-        }
+        EpochThread et;
+        et.tid = tid;
+        et.delta = now - _snapshots[tid];
+        ep.active.push_back(et);
+        _snapshots[tid] = now;
     }
     _epochs.push_back(std::move(ep));
     _epochStart = ev.tick;

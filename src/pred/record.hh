@@ -114,6 +114,8 @@ class RunRecorder : public os::SyncListener
 
     Tick _epochStart = 0;
     std::vector<uarch::PerfCounters> _snapshots;
+    /** Core occupants at the closing boundary, ascending tid. */
+    std::vector<os::ThreadId> _running;
 
     std::vector<Epoch> _epochs;
     std::vector<GcPhaseMark> _gcMarks;

@@ -69,6 +69,18 @@ nonscalingTime(const uarch::PerfCounters &c, const ModelSpec &spec)
 }
 
 /**
+ * The two-component law itself: @p scaling ticks stretched by @p ratio
+ * (rounded to nearest), plus @p nonscaling ticks unchanged.
+ */
+inline Tick
+scaleSplit(Tick scaling, Tick nonscaling, double ratio)
+{
+    return static_cast<Tick>(
+               roundHalfAway(static_cast<double>(scaling) * ratio)) +
+           nonscaling;
+}
+
+/**
  * Predict the duration of an interval measured as @p span at the base
  * frequency, given the counters accumulated within it.
  *
@@ -82,9 +94,7 @@ predictSpan(Tick span, const uarch::PerfCounters &c, const ModelSpec &spec,
             double ratio)
 {
     Tick n = std::min(nonscalingTime(c, spec), span);
-    Tick s = span - n;
-    return static_cast<Tick>(
-               std::llround(static_cast<double>(s) * ratio)) + n;
+    return scaleSplit(span - n, n, ratio);
 }
 
 } // namespace dvfs::pred

@@ -67,6 +67,24 @@ ticksToNs(Tick t)
     return static_cast<double>(t) / static_cast<double>(kTicksPerNs);
 }
 
+/**
+ * std::llround without the libm call on the hot path: round to
+ * nearest, ties away from zero. For finite 0 <= x < 2^63 the
+ * truncation i is exact and so is x - i (Sterbenz: i <= x < 2i, or
+ * i is 0), so `i + (x - i >= 0.5)` is llround's result bit for bit.
+ * Every other input (negative, too large, NaN, infinite) goes to
+ * std::llround itself.
+ */
+inline long long
+roundHalfAway(double x)
+{
+    if (x >= 0.0 && x < 9223372036854775808.0) {
+        const auto i = static_cast<long long>(x);
+        return i + (x - static_cast<double>(i) >= 0.5);
+    }
+    return std::llround(x);
+}
+
 /** Convert (double) seconds to ticks, rounding to nearest. */
 inline Tick
 secondsToTicks(double s)
@@ -135,7 +153,7 @@ class Frequency
     Tick
     cyclesToTicks(double cycles) const
     {
-        return static_cast<Tick>(std::llround(cycles * periodTicks()));
+        return static_cast<Tick>(roundHalfAway(cycles * periodTicks()));
     }
 
     /** Convert a tick duration into (double) cycles at this frequency. */

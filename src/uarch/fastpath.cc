@@ -146,7 +146,7 @@ FastPathModel::age()
             drift = p;
     };
     for (auto &s : pt.clusters) {
-        Lane<CfCount_> &agg = s.lanes[0];
+        EraLane<CfCount_> &agg = s.lanes[0];
         if (agg.winWeight >= _cfg.minClusterObs && agg.eraWeight > 0)
             note(agg.eraWeight, agg.eraObs[CfElapsed], agg.winWeight,
                  agg.winObs[CfElapsed]);
@@ -154,7 +154,7 @@ FastPathModel::age()
             l.promote(_cfg.minClusterObs);
     }
     for (auto &s : pt.bursts) {
-        Lane<BfCount_> &agg = s.lanes[0];
+        EraLane<BfCount_> &agg = s.lanes[0];
         if (agg.winWeight >= _cfg.minBurstLines && agg.eraWeight > 0)
             note(agg.eraWeight, agg.eraObs[BfElapsed], agg.winWeight,
                  agg.winObs[BfElapsed]);
@@ -175,7 +175,7 @@ FastPathModel::observeCluster(const MissClusterSpec &spec,
                      spec.shapeHint);
     const std::uint32_t b = std::clamp<std::uint32_t>(busyCores, 1, _cores);
     for (std::uint32_t lane : {0u, b}) {
-        Lane<CfCount_> &l = s.lanes[lane];
+        EraLane<CfCount_> &l = s.lanes[lane];
         l.winWeight += 1;
         l.winObs[CfElapsed] += elapsed;
         l.winObs[CfCompute] += delta.computeTime;
@@ -202,7 +202,7 @@ FastPathModel::observeBurst(const StoreBurstSpec &spec,
     BurstShape &s = burstShape(spec.storesPerLine);
     const std::uint32_t b = std::clamp<std::uint32_t>(busyCores, 1, _cores);
     for (std::uint32_t lane : {0u, b}) {
-        Lane<BfCount_> &l = s.lanes[lane];
+        EraLane<BfCount_> &l = s.lanes[lane];
         l.winWeight += spec.lines;
         l.winObs[BfElapsed] += elapsed;
         l.winObs[BfCompute] += delta.computeTime;
@@ -234,27 +234,25 @@ FastPathModel::chargeCluster(const MissClusterSpec &spec,
     // Prefer the occupancy-matched lane (contention-aware); fall back
     // to the shape aggregate while the bucket is cold.
     const std::uint32_t b = std::clamp<std::uint32_t>(busyCores, 1, _cores);
-    Lane<CfCount_> *lane = &s->lanes[b];
+    EraLane<CfCount_> *lane = &s->lanes[b];
     if (lane->eraWeight < _cfg.minClusterObs)
         lane = &s->lanes[0];
     if (lane->eraWeight < _cfg.minClusterObs)
         return false;
 
-    lane->charged += 1;
-    const std::uint64_t w = lane->charged;
-    elapsed = emitShare(*lane, CfElapsed, w);
+    elapsed = lane->emit(CfElapsed, 1);
     pc.busyTime += elapsed;
     pc.instructions += spec.overlapInstructions;
     pc.missClusters += 1;
-    pc.computeTime += emitShare(*lane, CfCompute, w);
-    pc.trueMemTime += emitShare(*lane, CfTrueMem, w);
-    pc.critNonscaling += emitShare(*lane, CfCrit, w);
-    pc.leadingNonscaling += emitShare(*lane, CfLeading, w);
-    pc.stallNonscaling += emitShare(*lane, CfStall, w);
-    pc.l1Hits += emitShare(*lane, CfL1, w);
-    pc.l2Hits += emitShare(*lane, CfL2, w);
-    pc.l3Hits += emitShare(*lane, CfL3, w);
-    pc.dramLoads += emitShare(*lane, CfDram, w);
+    pc.computeTime += lane->emit(CfCompute, 1);
+    pc.trueMemTime += lane->emit(CfTrueMem, 1);
+    pc.critNonscaling += lane->emit(CfCrit, 1);
+    pc.leadingNonscaling += lane->emit(CfLeading, 1);
+    pc.stallNonscaling += lane->emit(CfStall, 1);
+    pc.l1Hits += lane->emit(CfL1, 1);
+    pc.l2Hits += lane->emit(CfL2, 1);
+    pc.l3Hits += lane->emit(CfL3, 1);
+    pc.dramLoads += lane->emit(CfDram, 1);
     return true;
 }
 
@@ -278,24 +276,23 @@ FastPathModel::chargeBurst(const StoreBurstSpec &spec,
         return false;
 
     const std::uint32_t b = std::clamp<std::uint32_t>(busyCores, 1, _cores);
-    Lane<BfCount_> *lane = &s->lanes[b];
+    EraLane<BfCount_> *lane = &s->lanes[b];
     if (lane->eraWeight < _cfg.minBurstLines)
         lane = &s->lanes[0];
     if (lane->eraWeight < _cfg.minBurstLines)
         return false;
 
-    lane->charged += spec.lines;
-    const std::uint64_t w = lane->charged;
-    elapsed = emitShare(*lane, BfElapsed, w);
+    const std::uint64_t w = spec.lines;
+    elapsed = lane->emit(BfElapsed, w);
     const std::uint32_t spl =
         std::max<std::uint32_t>(1, spec.storesPerLine);
     pc.busyTime += elapsed;
     pc.instructions += static_cast<std::uint64_t>(spec.lines) * spl;
     pc.storeBursts += 1;
     pc.storeLines += spec.lines;
-    pc.computeTime += emitShare(*lane, BfCompute, w);
-    pc.trueMemTime += emitShare(*lane, BfTrueMem, w);
-    pc.sqFullTime += emitShare(*lane, BfSqFull, w);
+    pc.computeTime += lane->emit(BfCompute, w);
+    pc.trueMemTime += lane->emit(BfTrueMem, w);
+    pc.sqFullTime += lane->emit(BfSqFull, w);
     return true;
 }
 

@@ -44,6 +44,9 @@
  * so after charging N actions the synthesized totals equal the era
  * mean scaled by N to within one unit — no floating-point
  * accumulation, no rounding drift, bit-identical at any worker count.
+ * The floor never decreases, so emittedSoFar always equals the floor
+ * at the previous charge; EraLane keeps it as a quotient/remainder
+ * pair and emits without the wide division (see EraLane::emit).
  *
  * The decomposition mirrors the paper's epoch model: per shape the
  * observed elapsed time is split into its scaling (computeTime) and
@@ -70,6 +73,113 @@ struct FastPathConfig {
     std::uint32_t minClusterObs = 8;
     /** Store-burst *lines* a lane needs before it may charge. */
     std::uint32_t minBurstLines = 64;
+};
+
+/**
+ * One (shape, occupancy) accumulator of N fitted quantities: the
+ * accumulating fitting window, the frozen charging era, and the era's
+ * drift-free emission bookkeeping.
+ *
+ * Emission invariant: after `charged` weight has been charged this
+ * era, field i has emitted exactly floor(charged * eraObs[i] /
+ * eraWeight). With eraObs = quot * eraWeight + rem0 that is
+ * charged * quot + floor(charged * rem0 / eraWeight), and the lane
+ * keeps rem = (charged * rem0) mod eraWeight, so charging d more
+ * weight emits d * quot + floor((d * rem0 + rem) / eraWeight): for
+ * d = 1 an add and a compare, otherwise one 64-bit division (128-bit
+ * only when d * rem0 + rem overflows 64 bits).
+ */
+template <int N>
+struct EraLane {
+    std::uint64_t winWeight = 0;     ///< window observations (lines)
+    std::uint64_t winObs[N] = {};    ///< window sums
+    std::uint64_t eraWeight = 0;     ///< promoted-era weight
+    std::uint64_t eraObs[N] = {};    ///< promoted-era sums
+    std::uint64_t quot[N] = {};      ///< eraObs / eraWeight
+    std::uint64_t rem0[N] = {};      ///< eraObs % eraWeight
+    std::uint64_t rem[N] = {};       ///< (charged * rem0) % eraWeight
+
+    /** Promote the window if it met @p minWeight. */
+    void
+    promote(std::uint64_t minWeight)
+    {
+        if (winWeight < minWeight)
+            return;
+        eraWeight = winWeight;
+        for (int i = 0; i < N; ++i) {
+            eraObs[i] = winObs[i];
+            winObs[i] = 0;
+        }
+        winWeight = 0;
+        startEra();
+    }
+
+    /**
+     * Warm-start this lane from @p src fitted at @p oldMhz: the
+     * era's compute share rescales to @p newMhz, the non-scaling
+     * shares carry over, the in-progress window and the emission
+     * bookkeeping start empty.
+     */
+    void
+    fork(const EraLane &src, int computeField, int elapsedField,
+         std::uint32_t oldMhz, std::uint32_t newMhz)
+    {
+        if (src.eraWeight == 0)
+            return;
+        eraWeight = src.eraWeight;
+        for (int i = 0; i < N; ++i)
+            eraObs[i] = src.eraObs[i];
+        const std::uint64_t oldCompute = src.eraObs[computeField];
+        const auto newCompute = static_cast<std::uint64_t>(
+            static_cast<unsigned __int128>(oldCompute) * oldMhz
+            / newMhz);
+        const std::uint64_t elapsed = src.eraObs[elapsedField];
+        const std::uint64_t nonScaling =
+            elapsed > oldCompute ? elapsed - oldCompute : 0;
+        eraObs[computeField] = newCompute;
+        eraObs[elapsedField] = nonScaling + newCompute;
+        startEra();
+    }
+
+    /**
+     * Field @p field's share of @p weight more charged weight. Needs
+     * a promoted era (eraWeight > 0).
+     */
+    std::uint64_t
+    emit(int field, std::uint64_t weight)
+    {
+        const std::uint64_t w = eraWeight;
+        std::uint64_t x = 0;
+        if (weight == 1) {
+            const bool carry =
+                __builtin_add_overflow(rem[field], rem0[field], &x) ||
+                x >= w;
+            rem[field] = carry ? x - w : x;
+            return quot[field] + carry;
+        }
+        if (!__builtin_mul_overflow(weight, rem0[field], &x) &&
+            !__builtin_add_overflow(x, rem[field], &x)) {
+            rem[field] = x % w;
+            return weight * quot[field] + x / w;
+        }
+        const unsigned __int128 wide =
+            static_cast<unsigned __int128>(weight) * rem0[field] +
+            rem[field];
+        rem[field] = static_cast<std::uint64_t>(wide % w);
+        return weight * quot[field] + static_cast<std::uint64_t>(wide / w);
+    }
+
+  private:
+    /** Split the era sums and reset the emission remainders. */
+    void
+    startEra()
+    {
+        for (int i = 0; i < N; ++i) {
+            quot[i] = eraWeight ? eraObs[i] / eraWeight : 0;
+            rem0[i] = eraWeight ? eraObs[i] % eraWeight : 0;
+            rem[i] = 0;
+        }
+    }
 };
 
 /**
@@ -188,74 +298,17 @@ class FastPathModel
         BfCount_,
     };
 
-    /**
-     * One (shape, occupancy) accumulator: the accumulating fitting
-     * window, the frozen charging era, and the era's drift-free
-     * emission bookkeeping.
-     */
-    template <int N>
-    struct Lane {
-        std::uint64_t winWeight = 0;     ///< window observations (lines)
-        std::uint64_t winObs[N] = {};    ///< window sums
-        std::uint64_t eraWeight = 0;     ///< promoted-era weight
-        std::uint64_t eraObs[N] = {};    ///< promoted-era sums
-        std::uint64_t charged = 0;       ///< weight charged this era
-        std::uint64_t emitted[N] = {};   ///< sums emitted this era
-
-        /** Promote the window if it met @p minWeight. */
-        void
-        promote(std::uint64_t minWeight)
-        {
-            if (winWeight < minWeight)
-                return;
-            eraWeight = winWeight;
-            for (int i = 0; i < N; ++i) {
-                eraObs[i] = winObs[i];
-                winObs[i] = 0;
-                emitted[i] = 0;
-            }
-            winWeight = 0;
-            charged = 0;
-        }
-
-        /**
-         * Warm-start this lane from @p src fitted at @p oldMhz: the
-         * era's compute share rescales to @p newMhz, the non-scaling
-         * shares carry over, the in-progress window and the emission
-         * bookkeeping start empty.
-         */
-        void
-        fork(const Lane &src, int computeField, int elapsedField,
-             std::uint32_t oldMhz, std::uint32_t newMhz)
-        {
-            if (src.eraWeight == 0)
-                return;
-            eraWeight = src.eraWeight;
-            for (int i = 0; i < N; ++i)
-                eraObs[i] = src.eraObs[i];
-            const std::uint64_t oldCompute = src.eraObs[computeField];
-            const auto newCompute = static_cast<std::uint64_t>(
-                static_cast<unsigned __int128>(oldCompute) * oldMhz
-                / newMhz);
-            const std::uint64_t elapsed = src.eraObs[elapsedField];
-            const std::uint64_t nonScaling =
-                elapsed > oldCompute ? elapsed - oldCompute : 0;
-            eraObs[computeField] = newCompute;
-            eraObs[elapsedField] = nonScaling + newCompute;
-        }
-    };
-
     struct ClusterShape {
         std::uint32_t loads = 0;
         std::uint64_t overlapInstructions = 0;
         std::uint32_t shapeHint = 0;
         /** Index 1..cores by busy-core count; [0] is the aggregate. */
-        std::vector<Lane<CfCount_>> lanes;
+        std::vector<EraLane<CfCount_>> lanes;
     };
 
     struct BurstShape {
         std::uint32_t storesPerLine = 0;
-        std::vector<Lane<BfCount_>> lanes;
+        std::vector<EraLane<BfCount_>> lanes;
     };
 
     /**
@@ -269,21 +322,6 @@ class FastPathModel
         std::vector<BurstShape> bursts;
         std::uint64_t observations = 0;  ///< total obs landed here
     };
-
-    /** Cumulative-emission share of one fitted quantity. */
-    template <int N>
-    static std::uint64_t
-    emitShare(Lane<N> &lane, int field, std::uint64_t chargedWeight)
-    {
-        const auto entitled = static_cast<std::uint64_t>(
-            static_cast<unsigned __int128>(chargedWeight)
-            * lane.eraObs[field] / lane.eraWeight);
-        std::uint64_t out = entitled > lane.emitted[field]
-                                ? entitled - lane.emitted[field]
-                                : 0;
-        lane.emitted[field] += out;
-        return out;
-    }
 
     ClusterShape &clusterShape(std::uint32_t loads,
                                std::uint64_t overlap,

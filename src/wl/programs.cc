@@ -14,7 +14,14 @@ WorkerProgram::WorkerProgram(const SharedWorkload &shared,
     _items = _sh.params.workItems;
     // Worker 0 models pmd's oversized input file: same item count
     // (keeping barrier arrivals matched) but heavier items.
-    _workScale = (index == 0) ? _sh.params.stragglerFactor : 1.0;
+    const double scale = (index == 0) ? _sh.params.stragglerFactor : 1.0;
+    const WorkloadParams &p = _sh.params;
+    _halfComputeInstr = static_cast<std::uint64_t>(
+        std::llround(p.computeInstr * 0.5 * scale));
+    _lockHoldInstr =
+        static_cast<std::uint64_t>(std::llround(p.lockHoldInstr * scale));
+    _allocBytesPerItem = static_cast<std::uint64_t>(
+        std::llround(p.allocBytesPerItem * scale));
 }
 
 uarch::MissClusterSpec
@@ -92,10 +99,8 @@ WorkerProgram::next(os::ThreadContext &ctx)
 
         _clustersLeft = p.clustersPerItem;
         _state = _clustersLeft > 0 ? State::Clusters : State::LockEnter;
-        auto instr = static_cast<std::uint64_t>(
-            std::llround(p.computeInstr * 0.5 * _workScale));
-        return os::Action::makeCompute(instr, p.l2LoadsPerItem,
-                                       p.l3LoadsPerItem);
+        return os::Action::makeCompute(_halfComputeInstr,
+                                       p.l2LoadsPerItem, p.l3LoadsPerItem);
       }
 
       case State::Clusters: {
@@ -121,8 +126,7 @@ WorkerProgram::next(os::ThreadContext &ctx)
 
       case State::LockHold:
         _state = State::LockExit;
-        return os::Action::makeCompute(static_cast<std::uint64_t>(
-            std::llround(p.lockHoldInstr * _workScale)));
+        return os::Action::makeCompute(_lockHoldInstr);
 
       case State::LockExit:
         _state = State::Alloc;
@@ -130,8 +134,7 @@ WorkerProgram::next(os::ThreadContext &ctx)
 
       case State::Alloc: {
         if (_allocLeft == 0)
-            _allocLeft = static_cast<std::uint64_t>(
-                std::llround(p.allocBytesPerItem * _workScale));
+            _allocLeft = _allocBytesPerItem;
         if (_allocLeft == 0 || p.allocChunkBytes == 0) {
             _allocLeft = 0;
             _state = State::ItemEnd;
@@ -148,9 +151,8 @@ WorkerProgram::next(os::ThreadContext &ctx)
       case State::ItemEnd: {
         ++_item;
         _state = State::ItemStart;
-        auto instr = static_cast<std::uint64_t>(
-            std::llround(p.computeInstr * 0.5 * _workScale));
-        return os::Action::makeCompute(instr, p.l2LoadsPerItem, 0);
+        return os::Action::makeCompute(_halfComputeInstr, p.l2LoadsPerItem,
+                                       0);
       }
 
       case State::Done:

@@ -58,7 +58,11 @@ class WorkerProgram : public os::ThreadProgram
     std::uint32_t _index;
     std::uint64_t _items;        ///< total items for this worker
     std::uint64_t _item = 0;     ///< current item
-    double _workScale = 1.0;     ///< straggler multiplier on item work
+    // Per-item work with worker 0's straggler multiplier applied,
+    // rounded once in the constructor.
+    std::uint64_t _halfComputeInstr = 0;   ///< each compute half
+    std::uint64_t _lockHoldInstr = 0;      ///< critical-section body
+    std::uint64_t _allocBytesPerItem = 0;  ///< bytes allocated per item
 
     State _state = State::ItemStart;
     bool _barrierTaken = false;

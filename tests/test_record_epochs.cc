@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "fault/fault_plan.hh"
+#include "fault/injector.hh"
 #include "pred/record.hh"
 #include "test_util.hh"
+#include "wl/builder.hh"
+#include "wl/suite.hh"
 
 using namespace dvfs;
 using namespace dvfs::os;
@@ -23,6 +29,49 @@ smallConfig(std::uint32_t cores = 2)
     cfg.cores = cores;
     cfg.coreFreq = Frequency::ghz(1.0);
     return cfg;
+}
+
+/**
+ * Checks, at every sync event, the rule the recorder's epoch close
+ * relies on: the threads marked Running are exactly the scheduler's
+ * core occupants.
+ */
+class OccupancyAudit : public SyncListener
+{
+  public:
+    void
+    onSyncEvent(const SyncEvent &, const System &sys) override
+    {
+        std::vector<ThreadId> occupants, running;
+        const Scheduler &sched = sys.scheduler();
+        for (std::uint32_t c = 0; c < sched.cores(); ++c) {
+            if (sched.occupant(c) != kNoThread)
+                occupants.push_back(sched.occupant(c));
+        }
+        std::sort(occupants.begin(), occupants.end());
+        for (std::size_t tid = 0; tid < sys.numThreads(); ++tid) {
+            if (sys.thread(static_cast<ThreadId>(tid)).state ==
+                ThreadState::Running)
+                running.push_back(static_cast<ThreadId>(tid));
+        }
+        ++events;
+        mismatches += occupants != running;
+    }
+
+    std::uint64_t events = 0;
+    std::uint64_t mismatches = 0;
+};
+
+/** Run @p inst with an occupancy audit and the recorder attached. */
+OccupancyAudit
+auditRun(wl::BenchInstance &inst)
+{
+    OccupancyAudit audit;
+    inst.sys->addListener(&audit);
+    RunRecorder rec(*inst.sys);
+    inst.sys->addListener(&rec);
+    EXPECT_TRUE(inst.sys->run().finished);
+    return audit;
 }
 
 } // namespace
@@ -193,4 +242,40 @@ TEST(RunRecorderDeathTest, DoubleFinalizeIsFatal)
     sys.run();
     rec.finalize();
     EXPECT_EXIT(rec.finalize(), ::testing::ExitedWithCode(1), "twice");
+}
+
+TEST(RunRecorder, RunningThreadsAreCoreOccupantsOnAvrora)
+{
+    // avrora oversubscribes the cores: every boundary kind (timeslice
+    // SchedOut, lock handoffs, GC parks) occurs, exact and sampled.
+    for (bool sampled : {false, true}) {
+        wl::BenchInstance inst =
+            wl::buildBenchmark(wl::benchmarkByName("avrora"),
+                               wl::defaultSystemConfig(Frequency::ghz(1.0)));
+        if (sampled)
+            inst.sys->enableSampling(sim::SamplingConfig{});
+        const OccupancyAudit audit = auditRun(inst);
+        EXPECT_GT(audit.events, 100'000u) << "sampled=" << sampled;
+        EXPECT_EQ(audit.mismatches, 0u) << "sampled=" << sampled;
+    }
+}
+
+TEST(RunRecorder, RunningThreadsAreCoreOccupantsUnderPreemptJitter)
+{
+    // 8 threads on 2 cores, with off-schedule preemptions and
+    // spurious wakeups injected at action boundaries.
+    os::SystemConfig cfg = wl::defaultSystemConfig(Frequency::ghz(2.0));
+    cfg.cores = 2;
+    wl::BenchInstance inst =
+        wl::buildBenchmark(wl::syntheticSmall(8, 120), cfg);
+    fault::FaultConfig fc;
+    fc.preemptProb = 0.2;
+    fc.preemptMinSpacing = kTicksPerUs;
+    fc.spuriousWakeMeanInterval = 20 * kTicksPerUs;
+    fault::FaultPlan plan(fc);
+    fault::installFaults(*inst.sys, plan, inst.runtime.get());
+    const OccupancyAudit audit = auditRun(inst);
+    EXPECT_GT(plan.totalInjected(), 0u);
+    EXPECT_GT(audit.events, 1000u);
+    EXPECT_EQ(audit.mismatches, 0u);
 }

@@ -224,3 +224,35 @@ TEST(SweepGolden, ManagedSweepSchedulingInvariant)
         EXPECT_EQ(serial[i].decisions.size(), par[i].decisions.size());
     }
 }
+
+TEST(SweepGolden, AvroraReproducesPinnedReferences)
+{
+    // avrora is the only benchmark that oversubscribes the cores, so
+    // the four-benchmark goldens never see its timeslice preemptions
+    // and lock convoys. Pin its golden-seed cells in each mode; the
+    // values are perfbench/refs.txt's.
+    const std::uint64_t seed = 5241109370647663244ull;
+    ASSERT_EQ(seed, SweepSpec::replicateSeeds(42, 1)[0]);
+    const wl::WorkloadParams avrora = wl::benchmarkByName("avrora");
+
+    exp::RunOptions ro;
+    ro.seed = seed;
+    const auto exact = exp::runFixed(avrora, Frequency::ghz(1.0), ro);
+    EXPECT_EQ(exp::sweep::fingerprintRun(exact), 0x4eb4d8a3ba3b6312ull);
+    EXPECT_EQ(exact.totalTime, 17708949670501ull);
+
+    ro.mode = exp::SimMode::Sampled;
+    const auto sampled = exp::runFixed(avrora, Frequency::ghz(1.0), ro);
+    EXPECT_EQ(exp::sweep::fingerprintRun(sampled), 0xf14842e7e0603c35ull);
+    EXPECT_EQ(sampled.totalTime, 17877731391419ull);
+
+    // fig10's managed-sampling recipe.
+    ro.sampling.detailWindow = 10 * kTicksPerUs;
+    ro.sampling.gapWindow = 980 * kTicksPerUs;
+    ro.sampling.maxGapWindow = 7840 * kTicksPerUs;
+    ro.sampling.driftThresholdPermille = 200;
+    const auto managed = exp::runManaged(avrora, mgr::ManagerConfig{},
+                                         power::VfTable::haswell(), ro);
+    EXPECT_EQ(exp::sweep::fingerprintRun(managed), 0x782e107192872f93ull);
+    EXPECT_EQ(managed.totalTime, 6397974976934ull);
+}

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+
 #include "sim/time.hh"
 
 using namespace dvfs;
@@ -94,3 +99,57 @@ INSTANTIATE_TEST_SUITE_P(DvfsRange, FrequencyRoundTrip,
                          ::testing::Values(1000, 1125, 1250, 1375, 1500,
                                            1750, 2000, 2500, 3000, 3375,
                                            3625, 4000));
+
+/**
+ * roundHalfAway is llround without the libm call: it must agree with
+ * std::llround bit for bit on its fast range and fall back to it
+ * everywhere else.
+ */
+TEST(RoundHalfAway, MatchesLlroundOnEdgeCases)
+{
+    const double two52 = 4503599627370496.0;
+    const double two53 = 9007199254740992.0;
+    const double two63 = 9223372036854775808.0;
+    const double inf = std::numeric_limits<double>::infinity();
+    const double cases[] = {
+        0.0, -0.0, 0.5, 1.5, 2.5, 0.49999999999999994, 1.0 - 0x1p-53,
+        two52 - 0.5, two52 + 0.5, two52 - 1.5, two53 + 2, two53 - 1,
+        9.2e18, std::nextafter(two63, 0.0), two63, -0.5, -1.5, -2.5,
+        -9.2e18, 1e-310, inf, -inf,
+        std::numeric_limits<double>::quiet_NaN()};
+    for (double x : cases)
+        EXPECT_EQ(roundHalfAway(x), std::llround(x)) << "x=" << x;
+}
+
+TEST(RoundHalfAway, MatchesLlroundOnSeededDoubles)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    std::mt19937_64 rng(20260418);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+        const std::uint64_t r = rng();
+        double x;
+        switch (i % 4) {
+          case 0:
+            // Any bit pattern: negatives, NaNs, infinities, subnormals.
+            std::memcpy(&x, &r, sizeof(x));
+            break;
+          case 1:
+            // Uniform magnitudes across the fast range's binades.
+            x = std::ldexp(static_cast<double>(r >> 11) * 0x1p-53,
+                           static_cast<int>(r % 65));
+            break;
+          case 2:
+            // Exact halves, the tie cases.
+            x = static_cast<double>(r >> 12) + 0.5;
+            break;
+          default:
+            // One ulp either side of a half.
+            x = static_cast<double>(r >> 40) + 0.5;
+            x = (r & 1) ? std::nextafter(x, 0.0) : std::nextafter(x, inf);
+            break;
+        }
+        mismatches += roundHalfAway(x) != std::llround(x);
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
