@@ -5,19 +5,21 @@
  * FlagSet is the one CLI parser every harness uses: flags are declared
  * once (key, value hint, help line), --help output is generated from
  * the declarations, an unknown flag is fatal() naming the flag, and a
- * malformed value is fatal() naming the flag it was passed to. The
- * canned addWorkers()/addMode()/addSampling()/addRepeat()/addJson()
- * declarations keep the flags every harness shares spelled — and
- * documented — identically across binaries.
+ * malformed or out-of-range value is fatal() naming the flag it was
+ * passed to. The canned addWorkers()/addMode()/addSampling()/
+ * addRepeat() declarations keep the flags every harness shares
+ * spelled — and documented — identically across binaries.
  */
 
 #ifndef DVFS_BENCH_BENCH_UTIL_HH
 #define DVFS_BENCH_BENCH_UTIL_HH
 
+#include <cerrno>
 #include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,11 +36,7 @@ namespace dvfs::bench {
  *
  * Declare every flag up front, then parse(). --help prints the
  * generated listing and exits 0; any flag that was not declared is
- * fatal(), naming the flag. parseKnown() is the cooperative variant
- * for binaries that share argv with another parser (google-benchmark):
- * it consumes only declared flags, leaves the rest in place, and on
- * --help prints our listing but leaves the flag for the other parser
- * to document its own.
+ * fatal(), naming the flag.
  */
 class FlagSet
 {
@@ -118,13 +116,6 @@ class FlagSet
     }
 
     FlagSet &
-    addJson(const std::string &def = "BENCH_sweep.json")
-    {
-        return add("json", "PATH",
-                   "perf-trajectory JSONL file (default " + def + ")");
-    }
-
-    FlagSet &
     addTraceDir(const std::string &help)
     {
         return add("trace-dir", "DIR", help);
@@ -152,31 +143,6 @@ class FlagSet
             }
             record(*f, arg);
         }
-    }
-
-    /**
-     * Parse only declared flags, compacting argv so another parser
-     * sees the remainder. --help prints our listing and is left in
-     * argv for the other parser. Returns the new argc.
-     */
-    int
-    parseKnown(int argc, char **argv)
-    {
-        int kept = 1;
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--help" || arg == "-h") {
-                std::cout << help() << "\n";
-                argv[kept++] = argv[i];
-                continue;
-            }
-            if (const Flag *f = match(arg))
-                record(*f, arg);
-            else
-                argv[kept++] = argv[i];
-        }
-        argv[kept] = nullptr;
-        return kept;
     }
 
     /** The generated --help text. */
@@ -218,11 +184,27 @@ class FlagSet
         return false;
     }
 
+    /**
+     * An integer flag. A value outside [@p lo, @p hi] is fatal(),
+     * naming the flag and the range; @p def is not checked.
+     */
     long
-    getInt(const std::string &key, long def) const
+    getInt(const std::string &key, long def,
+           long lo = std::numeric_limits<long>::min(),
+           long hi = std::numeric_limits<long>::max()) const
     {
         const std::string v = get(key);
-        return v.empty() ? def : parseInt(key, v);
+        if (v.empty())
+            return def;
+        const long parsed = parseInt(key, v);
+        if (parsed < lo || parsed > hi) {
+            if (hi == std::numeric_limits<long>::max())
+                fatal("--%s: expected an integer of at least %ld, got %ld",
+                      key.c_str(), lo, parsed);
+            fatal("--%s: expected an integer in [%ld, %ld], got %ld",
+                  key.c_str(), lo, hi, parsed);
+        }
+        return parsed;
     }
 
     double
@@ -312,8 +294,9 @@ class FlagSet
     parseInt(const std::string &key, const std::string &v)
     {
         char *end = nullptr;
+        errno = 0;
         const long parsed = std::strtol(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0') {
+        if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
             fatal("--%s: expected an integer, got '%s'", key.c_str(),
                   v.c_str());
         }

@@ -18,6 +18,7 @@
 
 #include <csignal>
 #include <iostream>
+#include <limits>
 
 #include "bench_util.hh"
 #include "serve/server.hh"
@@ -54,14 +55,18 @@ main(int argc, char **argv)
              "shedding (default 64)");
     args.parse(argc, argv);
 
+    // --cache-mb is shifted into bytes: bound it so the shift fits.
+    constexpr long kMaxCacheMb = std::numeric_limits<long>::max() >> 20;
     serve::ServerConfig cfg;
-    cfg.tcpPort = static_cast<std::uint16_t>(args.getInt("port", 0));
+    cfg.tcpPort =
+        static_cast<std::uint16_t>(args.getInt("port", 0, 0, 65535));
     cfg.unixPath = args.get("unix");
     cfg.workers = bench::workersFromArgs(args);
-    cfg.cacheBytes =
-        static_cast<std::size_t>(args.getInt("cache-mb", 256)) << 20;
+    cfg.cacheBytes = static_cast<std::size_t>(
+                         args.getInt("cache-mb", 256, 1, kMaxCacheMb))
+                     << 20;
     cfg.maxInFlight =
-        static_cast<std::size_t>(args.getInt("max-in-flight", 64));
+        static_cast<std::size_t>(args.getInt("max-in-flight", 64, 1));
 
     serve::Server server(cfg);
     g_server = &server;

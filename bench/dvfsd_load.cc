@@ -12,9 +12,9 @@
  * throttling the offered load (no coordinated omission). Latency is
  * measured from the scheduled arrival to the reply.
  *
- * Each run appends one dvfs-serve-bench-v1 record (p50/p99/p999,
- * throughput over all replies, goodput over ok replies, cache hit
- * rate, shed count) to BENCH_serve.json — see EXPERIMENTS.md.
+ * Each run prints p50/p99/p99.9 latency, throughput over all
+ * replies, goodput over ok replies, the cache hit rate and the shed
+ * count.
  *
  * --verify-live replays every prediction query against an in-process
  * Service over the same traces and fails (exit 1) unless the served
@@ -26,7 +26,6 @@
  * Usage: dvfsd_load --trace-dir=DIR (--port=N | --unix=PATH)
  *                   [--rate=200] [--duration-s=5] [--connections=4]
  *                   [--seed=42] [--verify-live] [--fail-p99-ms=X]
- *                   [--json=BENCH_serve.json]
  */
 
 #include <algorithm>
@@ -41,7 +40,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_json.hh"
 #include "bench_util.hh"
 #include "exp/table.hh"
 #include "net/client.hh"
@@ -65,19 +63,6 @@ mix64(std::uint64_t x)
 }
 
 enum class QueryKind { Predict, WhatIf, Optimal, Upload, Stats };
-
-const char *
-kindName(QueryKind k)
-{
-    switch (k) {
-      case QueryKind::Predict: return "predict";
-      case QueryKind::WhatIf:  return "whatif";
-      case QueryKind::Optimal: return "optimal";
-      case QueryKind::Upload:  return "upload";
-      case QueryKind::Stats:   return "stats";
-    }
-    return "?";
-}
 
 /** The fixed mix: mostly predictions, a few uploads and stats. */
 QueryKind
@@ -196,14 +181,13 @@ main(int argc, char **argv)
                  "fail unless every served prediction is bit-identical "
                  "to a direct in-process ReplayEngine call")
         .add("fail-p99-ms", "X",
-             "exit 1 if overall p99 latency exceeds X ms (0 = no gate)")
-        .addJson("BENCH_serve.json");
+             "exit 1 if overall p99 latency exceeds X ms (0 = no gate)");
     args.parse(argc, argv);
 
     const std::string trace_dir = args.get("trace-dir");
     if (trace_dir.empty())
         fatal("dvfsd_load: --trace-dir is required");
-    const long port = args.getInt("port", 0);
+    const long port = args.getInt("port", 0, 0, 65535);
     const std::string unix_path = args.get("unix");
     if (port == 0 && unix_path.empty())
         fatal("dvfsd_load: one of --port or --unix is required");
@@ -217,7 +201,6 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(args.getInt("seed", 42));
     const bool verify = args.has("verify-live");
     const double fail_p99 = args.getDouble("fail-p99-ms", 0.0);
-    const std::string json_path = args.get("json", "BENCH_serve.json");
 
     auto connect = [&]() {
         return unix_path.empty()
@@ -390,11 +373,9 @@ main(int argc, char **argv)
     // ---- Aggregate. ----
     std::vector<double> lat;
     std::size_t ok = 0, errors = 0, shed = 0;
-    std::vector<std::size_t> byKind(5, 0);
     for (const auto &w : work) {
         for (const Sample &s : w->samples) {
             lat.push_back(s.latencyMs);
-            byKind[static_cast<std::size_t>(s.kind)]++;
             if (s.shed)
                 shed++;
             else if (s.isError)
@@ -414,14 +395,11 @@ main(int argc, char **argv)
 
     // Cache effectiveness, from the server's own counters.
     double hit_rate = 0.0;
-    std::uint64_t hits = 0, misses = 0, batches = 0, max_batch = 0;
     {
         net::Frame reply = setup.call(net::StatsReq{});
         if (const auto *st = std::get_if<net::StatsResp>(&reply.body)) {
-            hits = st->cacheHits;
-            misses = st->cacheMisses;
-            batches = st->batches;
-            max_batch = st->maxBatch;
+            const std::uint64_t hits = st->cacheHits;
+            const std::uint64_t misses = st->cacheMisses;
             if (hits + misses > 0) {
                 hit_rate = static_cast<double>(hits) /
                            static_cast<double>(hits + misses);
@@ -465,43 +443,6 @@ main(int argc, char **argv)
         table.addRow({"verify mismatches", std::to_string(mismatches)});
     }
     table.print(std::cout);
-
-    bench::SweepJsonRecord rec(
-        "dvfsd_load",
-        "rate=" + std::to_string(static_cast<long>(rate)) +
-            " conns=" + std::to_string(conns),
-        "dvfs-serve-bench-v1");
-    rec.add("transport", unix_path.empty() ? "tcp" : "unix")
-        .add("rate_rps", rate)
-        .add("duration_s", duration)
-        .add("connections", static_cast<std::uint64_t>(conns))
-        .add("traces", static_cast<std::uint64_t>(digests.size()))
-        .add("requests", static_cast<std::uint64_t>(lat.size()))
-        .add("ok", static_cast<std::uint64_t>(ok))
-        .add("errors", static_cast<std::uint64_t>(errors))
-        .add("shed", static_cast<std::uint64_t>(shed))
-        .add("throughput_rps", throughput)
-        .add("goodput_rps", goodput)
-        .add("p50_ms", p50)
-        .add("p99_ms", p99)
-        .add("p999_ms", p999)
-        .add("cache_hits", hits)
-        .add("cache_misses", misses)
-        .add("cache_hit_rate", hit_rate)
-        .add("batches", batches)
-        .add("max_batch", max_batch)
-        .add("verify_live",
-             static_cast<std::uint64_t>(verify ? 1 : 0))
-        .add("verified", static_cast<std::uint64_t>(verified))
-        .add("verify_mismatches",
-             static_cast<std::uint64_t>(mismatches));
-    for (std::size_t k = 0; k < byKind.size(); ++k) {
-        rec.add(std::string("n_") +
-                    kindName(static_cast<QueryKind>(k)),
-                static_cast<std::uint64_t>(byKind[k]));
-    }
-    rec.appendTo(json_path);
-    std::cout << "\nappended 1 record to " << json_path << "\n";
 
     if (verify && mismatches > 0) {
         std::cerr << "dvfsd_load: VERIFY FAILED: " << mismatches

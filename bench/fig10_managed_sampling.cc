@@ -18,17 +18,14 @@
  *  - sampling provenance: DVFS transitions observed, forced detail
  *    windows, and the adaptive gap-stretch histogram.
  *
- * Every measured configuration appends one dvfs-sweep-bench-v1 record
- * (mode="sampled", grid="managed") to BENCH_sweep.json. Error metrics
- * are deterministic — repeats reproduce them bit-for-bit; only wall
- * times move — so CI gates hard on them.
+ * Error metrics are deterministic — repeats reproduce them
+ * bit-for-bit; only wall times move — so CI gates hard on them.
  *
  * Usage: fig10_managed_sampling [--benchmarks=4] [--seeds=1]
  *          [--startup-us=60] [--detail-us=30] [--gap-us=980]
  *          [--max-gap-us=0] [--drift-permille=50]
- *          [--workers=N] [--repeat=1] [--json=BENCH_sweep.json]
- *          [--fail-err-pct=X] [--fail-speedup=X]
- *          [--expect-managed-fingerprint=0x...]
+ *          [--workers=N] [--repeat=1] [--fail-err-pct=X]
+ *          [--fail-speedup=X] [--expect-managed-fingerprint=0x...]
  *
  * --fail-err-pct / --fail-speedup gate on mean |achieved-slowdown
  * error| / managed-grid speedup; --expect-managed-fingerprint pins the
@@ -40,10 +37,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_json.hh"
 #include "bench_util.hh"
 #include "exp/sweep/differential.hh"
 #include "exp/table.hh"
@@ -52,7 +49,7 @@ using namespace dvfs;
 
 namespace {
 
-/** Gap-stretch histogram as a JSON array for the trajectory row. */
+/** Gap-stretch histogram as a JSON array, e.g. "[101,85,0]". */
 std::string
 gapStretchJson(const sim::SampleStats &s)
 {
@@ -78,7 +75,6 @@ main(int argc, char **argv)
         .addWorkers()
         .addSampling()
         .addRepeat()
-        .addJson()
         .add("fail-err-pct", "X",
              "fail if mean |achieved-slowdown err| exceeds X percent")
         .add("fail-speedup", "X",
@@ -88,12 +84,11 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     const auto n_bench =
-        static_cast<std::size_t>(args.getInt("benchmarks", 4));
-    const auto n_seeds = static_cast<std::size_t>(args.getInt("seeds", 1));
-    const std::string json_path = args.get("json", "BENCH_sweep.json");
+        static_cast<std::size_t>(args.getInt("benchmarks", 4, 1));
+    const auto n_seeds =
+        static_cast<std::size_t>(args.getInt("seeds", 1, 1));
     const unsigned workers = bench::workersFromArgs(args);
-    const auto repeat =
-        static_cast<unsigned>(std::max(1L, args.getInt("repeat", 1)));
+    const auto repeat = static_cast<unsigned>(args.getInt("repeat", 1, 1));
     const double fail_err = args.getDouble("fail-err-pct", 0.0);
     const double fail_speedup = args.getDouble("fail-speedup", 0.0);
     const bool pin_fp = args.has("expect-managed-fingerprint");
@@ -165,51 +160,6 @@ main(int argc, char **argv)
                   static_cast<unsigned long long>(best.exactDigest),
                   static_cast<unsigned long long>(best.sampledDigest));
     std::cout << fps;
-
-    bench::SweepJsonRecord rec(
-        "fig10_managed_sampling",
-        "gap=" + std::to_string(cfg.gapWindow / kTicksPerUs) +
-            "us max-gap=" +
-            std::to_string(cfg.maxGapWindow / kTicksPerUs) + "us");
-    rec.add("mode", "sampled")
-        .add("grid", "managed")
-        .add("workers", static_cast<std::uint64_t>(workers))
-        .add("cells", static_cast<std::uint64_t>(best.cells))
-        .add("repeat", static_cast<std::uint64_t>(repeat))
-        .add("startup_us",
-             static_cast<std::uint64_t>(cfg.startupDetail / kTicksPerUs))
-        .add("detail_us",
-             static_cast<std::uint64_t>(cfg.detailWindow / kTicksPerUs))
-        .add("gap_us",
-             static_cast<std::uint64_t>(cfg.gapWindow / kTicksPerUs))
-        .add("max_gap_us",
-             static_cast<std::uint64_t>(cfg.maxGapWindow / kTicksPerUs))
-        .add("drift_permille",
-             static_cast<std::uint64_t>(cfg.driftThresholdPermille))
-        .add("detail_coverage_pct", cov)
-        .add("exact_wall_ms", best.exactWallSec * 1000.0)
-        .add("sampled_wall_ms", best.sampledWallSec * 1000.0)
-        .add("cells_per_sec",
-             best.sampledWallSec > 0.0
-                 ? static_cast<double>(best.cells) / best.sampledWallSec
-                 : 0.0)
-        .add("speedup_vs_exact", best.speedup())
-        .add("mean_abs_time_err_pct", best.meanAbsTimeErrPct)
-        .add("max_abs_time_err_pct", best.maxAbsTimeErrPct)
-        .add("mean_abs_slowdown_err_pct", best.meanAbsSlowdownErrPct)
-        .add("max_abs_slowdown_err_pct", best.maxAbsSlowdownErrPct)
-        .add("slowdown_samples",
-             static_cast<std::uint64_t>(best.slowdownSamples))
-        .add("transitions", best.transitions)
-        .add("forced_detail_windows", best.sampleTotals.forcedWindows)
-        .add("ff_actions", best.sampleTotals.ffActions)
-        .add("detail_actions", best.sampleTotals.detailActions)
-        .add("ff_fallbacks", best.sampleTotals.ffFallbacks)
-        .addHex("exact_fingerprint", best.exactDigest)
-        .addHex("sampled_fingerprint", best.sampledDigest)
-        .addRaw("gap_stretch", gapStretchJson(best.sampleTotals));
-    rec.appendTo(json_path);
-    std::cout << "appended 1 record to " << json_path << "\n";
 
     bool failed = !repeats_ok;
     if (fail_err > 0.0 && best.meanAbsSlowdownErrPct > fail_err) {

@@ -16,16 +16,14 @@
  *    so the error *sampling adds* is separated from the predictors'
  *    inherent model error.
  *
- * Every measured configuration appends one dvfs-sweep-bench-v1 record
- * (mode="sampled") to BENCH_sweep.json. Error metrics are
- * deterministic — repeats reproduce them bit-for-bit; only wall times
- * move — so CI can gate hard on them.
+ * Error metrics are deterministic — repeats reproduce them
+ * bit-for-bit; only wall times move — so CI can gate hard on them.
  *
  * Usage: fig9_sampling_accuracy [--benchmarks=4] [--seeds=1]
  *          [--gaps=980] [--detail-us=30] [--startup-us=60]
- *          [--workers=N] [--repeat=1] [--json=BENCH_sweep.json]
- *          [--fail-err-pct=X] [--fail-speedup=X]
- *          [--expect-sampled-fingerprint=0x...] [--progress]
+ *          [--workers=N] [--repeat=1] [--fail-err-pct=X]
+ *          [--fail-speedup=X] [--expect-sampled-fingerprint=0x...]
+ *          [--progress]
  *
  * --gaps is a comma-separated list of fast-forward gap lengths in
  * microseconds; each is measured with the same detail/startup windows
@@ -43,35 +41,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hh"
 #include "bench_util.hh"
 #include "exp/sweep/differential.hh"
 #include "exp/table.hh"
 
 using namespace dvfs;
-
-namespace {
-
-/** Per-predictor envelopes as a JSON array for the trajectory row. */
-std::string
-predictorsJson(const exp::sweep::ModeComparison &cmp)
-{
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t i = 0; i < cmp.predictors.size(); ++i) {
-        const auto &p = cmp.predictors[i];
-        os << (i ? "," : "") << "{\"predictor\":\"" << p.predictor
-           << "\",\"mean_abs_pct\":" << p.meanAbsPct
-           << ",\"max_abs_pct\":" << p.maxAbsPct
-           << ",\"mean_abs_pct_exact_fed\":" << p.meanAbsPctExactFed
-           << ",\"max_abs_pct_exact_fed\":" << p.maxAbsPctExactFed
-           << ",\"samples\":" << p.samples << "}";
-    }
-    os << "]";
-    return os.str();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -86,7 +60,6 @@ main(int argc, char **argv)
         .addWorkers()
         .addSampling()
         .addRepeat()
-        .addJson()
         .add("fail-err-pct", "X",
              "fail if mean |slowdown err| exceeds X percent")
         .add("fail-speedup", "X",
@@ -97,13 +70,12 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     const auto n_bench =
-        static_cast<std::size_t>(args.getInt("benchmarks", 4));
-    const auto n_seeds = static_cast<std::size_t>(args.getInt("seeds", 1));
-    const std::string json_path = args.get("json", "BENCH_sweep.json");
+        static_cast<std::size_t>(args.getInt("benchmarks", 4, 1));
+    const auto n_seeds =
+        static_cast<std::size_t>(args.getInt("seeds", 1, 1));
     const bool progress = args.has("progress");
     const unsigned workers = bench::workersFromArgs(args);
-    const auto repeat =
-        static_cast<unsigned>(std::max(1L, args.getInt("repeat", 1)));
+    const auto repeat = static_cast<unsigned>(args.getInt("repeat", 1, 1));
     const double fail_err = args.getDouble("fail-err-pct", 0.0);
     const double fail_speedup = args.getDouble("fail-speedup", 0.0);
     const bool pin_fp = args.has("expect-sampled-fingerprint");
@@ -176,53 +148,10 @@ main(int argc, char **argv)
                        }(),
                  2)});
 
-        bench::SweepJsonRecord rec(
-            "fig9_sampling_accuracy",
-            "gap=" + std::to_string(gap_us) + "us detail=" +
-                std::to_string(base.detailWindow / kTicksPerUs) + "us");
-        rec.add("mode", "sampled")
-            .add("workers", static_cast<std::uint64_t>(workers))
-            .add("cells", static_cast<std::uint64_t>(spec.cellCount()))
-            .add("repeat", static_cast<std::uint64_t>(repeat))
-            .add("startup_us",
-                 static_cast<std::uint64_t>(cfg.startupDetail /
-                                            kTicksPerUs))
-            .add("detail_us",
-                 static_cast<std::uint64_t>(cfg.detailWindow /
-                                            kTicksPerUs))
-            .add("gap_us",
-                 static_cast<std::uint64_t>(cfg.gapWindow / kTicksPerUs))
-            .add("detail_coverage_pct", cov)
-            .add("exact_wall_ms", best.exactWallSec * 1000.0)
-            .add("sampled_wall_ms", best.sampledWallSec * 1000.0)
-            .add("cells_per_sec",
-                 best.sampledWallSec > 0.0
-                     ? static_cast<double>(spec.cellCount()) /
-                           best.sampledWallSec
-                     : 0.0)
-            .add("speedup_vs_exact", best.speedup())
-            .add("mean_abs_time_err_pct", best.meanAbsTimeErrPct)
-            .add("max_abs_time_err_pct", best.maxAbsTimeErrPct)
-            .add("mean_abs_slowdown_err_pct", best.meanAbsSlowdownErrPct)
-            .add("max_abs_slowdown_err_pct", best.maxAbsSlowdownErrPct)
-            .add("slowdown_samples",
-                 static_cast<std::uint64_t>(best.slowdownSamples))
-            .add("mean_predictor_err_pct", best.meanPredictorErrPct())
-            .add("max_predictor_err_pct", best.maxPredictorErrPct())
-            .add("ff_actions", best.sampleTotals.ffActions)
-            .add("detail_actions", best.sampleTotals.detailActions)
-            .add("ff_fallbacks", best.sampleTotals.ffFallbacks)
-            .addHex("exact_fingerprint", best.exactDigest)
-            .addHex("sampled_fingerprint", best.sampledDigest)
-            .addRaw("predictors", predictorsJson(best));
-        rec.appendTo(json_path);
-
         results.push_back(std::move(best));
     }
 
     table.print(std::cout);
-    std::cout << "\nappended " << results.size() << " records to "
-              << json_path << "\n";
 
     // Per-predictor envelopes for the first (default) configuration:
     // the sampled-fed column is the end-to-end error bound, the

@@ -10,18 +10,13 @@
  * expensive simulation happens once, every later predictor evaluation
  * replays from disk.
  *
- * Appends one dvfs-trace-bench-v1 record (phase=record) per run to
- * the JSONL trajectory (see EXPERIMENTS.md).
- *
  * Usage: trace_record --out=DIR [--benchmarks=N] [--only=<name>]
  *                     [--seed=42] [--workers=N] [--progress]
- *                     [--json=BENCH_sweep.json]
  */
 
 #include <chrono>
 #include <iostream>
 
-#include "bench_json.hh"
 #include "bench_util.hh"
 #include "exp/sweep/fingerprint.hh"
 #include "exp/sweep/trace_cache.hh"
@@ -40,8 +35,7 @@ main(int argc, char **argv)
         .add("only", "NAME", "record a single DaCapo benchmark")
         .add("seed", "N", "machine seed (default 42)")
         .addWorkers()
-        .addBool("progress", "progress/ETA lines on stderr")
-        .addJson();
+        .addBool("progress", "progress/ETA lines on stderr");
     args.parse(argc, argv);
     const std::string out = args.get("out");
     if (out.empty()) {
@@ -89,16 +83,5 @@ main(int argc, char **argv)
               << exp::Table::fmt(cells_s, 2) << " cells/s), digest 0x"
               << std::hex << h.digest() << std::dec << "\n";
 
-    bench::SweepJsonRecord rec(
-        "trace_record",
-        "benchmarks=" + std::to_string(spec.workloads.size()),
-        "dvfs-trace-bench-v1");
-    rec.add("phase", "record")
-        .add("workers", static_cast<std::uint64_t>(opts.workers))
-        .add("cells", static_cast<std::uint64_t>(cells))
-        .add("wall_ms", wall_ms)
-        .add("cells_per_sec", cells_s)
-        .addHex("grid_digest", h.digest());
-    rec.appendTo(args.get("json", "BENCH_sweep.json"));
     return 0;
 }

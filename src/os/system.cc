@@ -874,12 +874,14 @@ System::run(Tick limit)
     res.abortReason = _stopReason;
     const Thread &main = *_threads[_mainThread];
     res.totalTime = main.exitTick != kTickNever ? main.exitTick : _eq.now();
-    if (_stopRequested) {
+    // With main still alive, totalTime is now(). Stopping at the
+    // requested limit is not a deadlock; now() never reaches
+    // kTickNever, so an unlimited run always tests below it.
+    if (_stopRequested)
         warn("run stopped early: %s", _stopReason.c_str());
-    } else if (!_runEnded) {
-        warn("run ended without main thread exit (deadlock or limit); "
-             "%zu threads blocked", _futexes.totalWaiters());
-    }
+    else if (!_runEnded && res.totalTime < limit)
+        warn("deadlock: event queue drained before the main thread "
+             "exited; %zu threads blocked", _futexes.totalWaiters());
     return res;
 }
 

@@ -9,7 +9,7 @@
  * name selects the whole-run decomposition (M+CRIT, COOP, DEP,
  * DEP/per-epoch), a ModelSpec selects the per-thread estimator inside
  * it, and the constructed predictor's name() is the canonical spelling
- * used in tables and JSONL output.
+ * used in tables and CLI flags.
  */
 
 #ifndef DVFS_PRED_REGISTRY_HH

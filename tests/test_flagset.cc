@@ -3,11 +3,10 @@
  * bench::FlagSet: the declared-flags CLI parser the harnesses share.
  *
  * The consolidation contract: flags are declared once, --help is
- * generated from the declarations, an unknown flag or malformed value
- * is fatal() *naming the offending flag* — list items and hex values
- * included — and querying a key that was never declared is a
- * programming error (panic). parseKnown() must consume only declared
- * flags so google-benchmark binaries can share argv.
+ * generated from the declarations, an unknown flag or a malformed or
+ * out-of-range value is fatal() *naming the offending flag* — list
+ * items and hex values included — and querying a key that was never
+ * declared is a programming error (panic).
  */
 
 #include <gtest/gtest.h>
@@ -94,22 +93,18 @@ TEST(FlagSet, ParsesListsHexAndWorkers)
     EXPECT_EQ(workersFromArgs(bare), dvfs::exp::sweep::defaultWorkers());
 }
 
-TEST(FlagSet, ParseKnownLeavesForeignFlagsInPlace)
+TEST(FlagSet, BoundedIntAcceptsItsRangeAndSkipsTheDefault)
 {
     auto flags = sampleFlags();
-    Argv argv({"--benchmark_filter=epoch", "--count=3",
-               "--benchmark_min_time=1", "--verbose"});
-    const int rest = flags.parseKnown(argv.argc(), argv.argv());
+    Argv argv({"--count=65535"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EQ(flags.getInt("count", 1, 0, 65535), 65535);
 
-    // Ours were consumed...
-    EXPECT_EQ(flags.getInt("count", 1), 3);
-    EXPECT_TRUE(flags.has("verbose"));
-    // ...and exactly the foreign flags remain, order preserved, for
-    // the other parser (google-benchmark) to see.
-    ASSERT_EQ(rest, 3);
-    EXPECT_STREQ(argv.argv()[1], "--benchmark_filter=epoch");
-    EXPECT_STREQ(argv.argv()[2], "--benchmark_min_time=1");
-    EXPECT_EQ(argv.argv()[rest], nullptr);
+    // Not passed: the default is returned as is, even outside the range.
+    FlagSet bare = sampleFlags();
+    Argv none({});
+    bare.parse(none.argc(), none.argv());
+    EXPECT_EQ(bare.getInt("count", 0, 1), 0);
 }
 
 TEST(FlagSet, HelpListsEveryDeclaredFlag)
@@ -196,6 +191,26 @@ TEST(FlagSetDeathTest, HexWithTrailingGarbageIsFatal)
     EXPECT_EXIT((void)flags.getHex("fp", 0), testing::ExitedWithCode(1),
                 "--fp: expected a 64-bit hex value, got "
                 "'0xb806f47ff81388e0zz'");
+}
+
+TEST(FlagSetDeathTest, OutOfRangeIntIsFatalNamingFlagAndRange)
+{
+    auto withCount = [](const std::string &value) {
+        auto flags = sampleFlags();
+        Argv argv({"--count=" + value});
+        flags.parse(argv.argc(), argv.argv());
+        return flags;
+    };
+    EXPECT_EXIT((void)withCount("-1").getInt("count", 1, 1),
+                testing::ExitedWithCode(1),
+                "--count: expected an integer of at least 1, got -1");
+    EXPECT_EXIT((void)withCount("70000").getInt("count", 0, 0, 65535),
+                testing::ExitedWithCode(1),
+                "--count: expected an integer in \\[0, 65535\\], got 70000");
+    // Beyond long: rejected, not saturated into range.
+    EXPECT_EXIT((void)withCount("99999999999999999999").getInt("count", 1, 1),
+                testing::ExitedWithCode(1),
+                "--count: expected an integer, got '99999999999999999999'");
 }
 
 TEST(FlagSetDeathTest, WorkersBelowOneIsFatal)

@@ -2,7 +2,7 @@
  * @file
  * PredictorRegistry: the canonical name -> factory map.
  *
- * The registry's names appear in tables, JSONL records and CLI flags,
+ * The registry's names appear in tables and CLI flags,
  * so their spelling and ordering are contract: figure3Set must match
  * the paper's column order, the estimator ladder must match the
  * ablation's column order, and an unknown family must be a fatal user

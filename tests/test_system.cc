@@ -336,8 +336,12 @@ TEST(System, DeadlockedRunReturnsUnfinished)
     SyncId f = sys.createFutex();
     ThreadId main = addScript(sys, "main", {Action::makeFutexWait(f)});
     sys.setMainThread(main);
+    testing::internal::CaptureStderr();
     auto res = sys.run();
+    const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_FALSE(res.finished);
+    EXPECT_NE(err.find("deadlock"), std::string::npos) << err;
+    EXPECT_NE(err.find("1 threads blocked"), std::string::npos) << err;
 }
 
 TEST(System, RunLimitStopsEarly)
@@ -346,7 +350,10 @@ TEST(System, RunLimitStopsEarly)
     std::vector<Action> script(100, Action::makeCompute(1'000'000));
     ThreadId main = addScript(sys, "main", script);
     sys.setMainThread(main);
+    // Stopping at the requested limit is not a deadlock: no warning.
+    testing::internal::CaptureStderr();
     auto res = sys.run(kTicksPerMs);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
     EXPECT_FALSE(res.finished);
 }
 
