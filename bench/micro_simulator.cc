@@ -120,8 +120,9 @@ BENCHMARK(BM_FingerprintRun)->Unit(benchmark::kMillisecond);
 /**
  * Epoch close at a sync boundary: a machine with 6 application
  * threads on 4 cores, stopped mid-run, closes one epoch per
- * iteration. The recorder is replaced (untimed) every 4096 epochs so
- * the record stays small.
+ * iteration. The recorder is replaced (untimed) every Arg epochs:
+ * 4096 keeps the record in cache; 65536, avrora's epochs per sampled
+ * cell, also pays for first touches of fresh record memory.
  */
 static void
 BM_CloseEpoch(benchmark::State &state)
@@ -133,9 +134,10 @@ BM_CloseEpoch(benchmark::State &state)
     auto rec = std::make_unique<pred::RunRecorder>(*inst.sys);
     os::SyncEvent ev{inst.sys->now(), os::SyncEventKind::SchedOut, 0,
                      os::kNoSync};
+    const auto per_recorder = static_cast<std::size_t>(state.range(0));
     std::size_t closed = 0;
     for (auto _ : state) {
-        if (closed++ % 4096 == 0) {
+        if (closed++ % per_recorder == 0) {
             state.PauseTiming();
             rec = std::make_unique<pred::RunRecorder>(*inst.sys);
             state.ResumeTiming();
@@ -148,7 +150,7 @@ BM_CloseEpoch(benchmark::State &state)
                    std::to_string(inst.sys->scheduler().busyCores()) +
                    " of 4 cores busy");
 }
-BENCHMARK(BM_CloseEpoch);
+BENCHMARK(BM_CloseEpoch)->Arg(4096)->Arg(65536);
 
 /**
  * DEP+BURST over avrora's sampled record at 4 GHz: Arg(0) is one

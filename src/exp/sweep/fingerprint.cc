@@ -1,5 +1,7 @@
 #include "exp/sweep/fingerprint.hh"
 
+#include <bit>
+
 #include "exp/experiment.hh"
 
 namespace dvfs::exp::sweep {
@@ -38,9 +40,24 @@ mixRecord(Fnv1a &h, const pred::RunRecord &rec)
         h.mix(static_cast<std::uint64_t>(e.boundary));
         h.mix(static_cast<std::uint64_t>(e.stallTid));
         h.mix(e.active.size());
-        for (const auto &t : e.active) {
-            h.mix(static_cast<std::uint64_t>(t.tid));
-            mixCounters(h, t.delta);
+        // The packed entries in place: each run of zero fields between
+        // stored ones folds into one step, as mixCounters would digest
+        // the decoded deltas.
+        const std::uint64_t *w = e.active.words();
+        for (std::size_t k = 0; k < e.active.size(); ++k) {
+            const pred::PackedThread t(w);
+            h.mix(static_cast<std::uint64_t>(t.tid()));
+            const std::uint64_t *f = t.fields();
+            unsigned next = 0;
+            for (std::uint32_t m = t.mask(); m != 0; m &= m - 1) {
+                const unsigned i =
+                    static_cast<unsigned>(std::countr_zero(m));
+                h.mixZeros(i - next);
+                h.mix(*f++);
+                next = i + 1;
+            }
+            h.mixZeros(uarch::kCounterFields - next);
+            w = f;
         }
     }
     h.mix(rec.threads.size());

@@ -52,6 +52,17 @@ class Fnv1a
         _h *= kPrimePow[8 - bytes];
     }
 
+    /**
+     * Fold @p k zero words (k <= 15) at once: a zero word's step is
+     * `h *= P^8`, so k of them are one multiply by P^(8k). The same
+     * digest as k calls of mix(0).
+     */
+    void
+    mixZeros(unsigned k)
+    {
+        _h *= kZeroWordsPow[k];
+    }
+
     /** Fold a double via its bit pattern (exact, not rounded). */
     void
     mixDouble(double v)
@@ -84,6 +95,15 @@ class Fnv1a
         p[0] = 1;
         for (std::size_t k = 1; k < p.size(); ++k)
             p[k] = p[k - 1] * kPrime;
+        return p;
+    }();
+
+    /** kZeroWordsPow[k] = kPrime^(8k): k zero words in one step. */
+    static constexpr std::array<std::uint64_t, 16> kZeroWordsPow = [] {
+        std::array<std::uint64_t, 16> p{};
+        p[0] = 1;
+        for (std::size_t k = 1; k < p.size(); ++k)
+            p[k] = p[k - 1] * kPrimePow[8];
         return p;
     }();
 

@@ -192,6 +192,9 @@ DepPredictor::compactEpochs(const std::vector<Epoch> &epochs,
     if (first >= last)
         return;
     out.epochs.reserve(last - first);
+    // Only busy time and the estimator's fields are read, straight
+    // from the packed entries.
+    const uarch::CounterField base_field = nonscalingField(_spec.base);
     for (std::size_t i = first; i < last; ++i) {
         const Epoch &ep = epochs[i];
         EpochTerms::Span span;
@@ -203,17 +206,23 @@ DepPredictor::compactEpochs(const std::vector<Epoch> &epochs,
                                                 ep.stallTid + 1u);
         out.maxActive = std::max<std::size_t>(out.maxActive,
                                               ep.active.size());
-        for (const EpochThread &et : ep.active) {
+        const std::uint64_t *w = ep.active.words();
+        for (std::size_t k = 0; k < ep.active.size(); ++k) {
+            const PackedThread et(w);
+            w = et.end();
             // predictSpan's split with the span set to the thread's
             // busy time, so only the rounding of the scaled part is
             // left for predictTerms.
+            const Tick busy = et.field(uarch::CounterField::BusyTime);
+            Tick nonscaling = et.field(base_field);
+            if (_spec.burst)
+                nonscaling += et.field(uarch::CounterField::SqFullTime);
             EpochTerms::Term t;
-            t.tid = et.tid;
-            t.nonscaling = std::min(nonscalingTime(et.delta, _spec),
-                                    et.delta.busyTime);
-            t.scaling = et.delta.busyTime - t.nonscaling;
+            t.tid = et.tid();
+            t.nonscaling = std::min(nonscaling, busy);
+            t.scaling = busy - t.nonscaling;
             out.terms.push_back(t);
-            out.threads = std::max<std::size_t>(out.threads, et.tid + 1u);
+            out.threads = std::max<std::size_t>(out.threads, t.tid + 1u);
         }
         out.epochs.push_back(span);
     }

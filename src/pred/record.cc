@@ -68,9 +68,9 @@ RunRecorder::closeEpoch(const os::SyncEvent &ev, const os::System &sys)
              j > 0 && _running[j - 1] > tid; --j)
             std::swap(_running[j - 1], _running[j]);
     }
-    // One exact-size allocation per epoch instead of push_back's
-    // growth steps: sync-bound runs close tens of thousands of epochs.
-    ep.active.reserve(_running.size());
+    // The deltas are packed straight into the arena: no per-epoch
+    // allocation, and only nonzero fields take words.
+    std::uint64_t *p = _arena->reserve(_running.size());
     for (const os::ThreadId tid : _running) {
         const uarch::PerfCounters &now = sys.thread(tid).counters;
         // Only counted threads have their snapshot refreshed:
@@ -78,13 +78,11 @@ RunRecorder::closeEpoch(const os::SyncEvent &ev, const os::System &sys)
         // between boundaries (same-tick preemptions) must carry
         // forward to the next epoch that observes the thread running,
         // or they would silently vanish from the decomposition.
-        EpochThread et;
-        et.tid = tid;
-        et.delta = now - _snapshots[tid];
-        ep.active.push_back(et);
+        p += PackedThread::pack(p, tid, now, _snapshots[tid]);
         _snapshots[tid] = now;
     }
-    _epochs.push_back(std::move(ep));
+    ep.active = _arena->commit(p, _running.size());
+    _epochs.push_back(ep);
     _epochStart = ev.tick;
 }
 
@@ -99,6 +97,7 @@ RunRecorder::finalize()
     rec.baseFreq = _baseFreq;
     rec.totalTime = _sys.now();
     rec.epochs = std::move(_epochs);
+    rec.arena = std::move(_arena);
     rec.gcMarks = std::move(_gcMarks);
     rec.events = std::move(_events);
 

@@ -16,28 +16,28 @@
 #define DVFS_PRED_RECORD_HH
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "os/system.hh"
 #include "os/trace.hh"
+#include "pred/epoch_arena.hh"
 #include "sim/time.hh"
 #include "uarch/perf_counters.hh"
 
 namespace dvfs::pred {
-
-/** Counter deltas of one active thread within one epoch. */
-struct EpochThread {
-    os::ThreadId tid = os::kNoThread;
-    uarch::PerfCounters delta;
-};
 
 /** One synchronization epoch. */
 struct Epoch {
     Tick start = 0;
     Tick end = 0;
 
-    /** Threads scheduled on cores during this epoch. */
-    std::vector<EpochThread> active;
+    /**
+     * Threads scheduled on cores during this epoch, packed in the
+     * owning record's (or live recorder's) arena.
+     */
+    ActiveThreads active;
 
     /** Event kind that closed the epoch. */
     os::SyncEventKind boundary = os::SyncEventKind::RunEnd;
@@ -74,6 +74,21 @@ struct RunRecord {
     std::vector<ThreadSummary> threads;
     std::vector<GcPhaseMark> gcMarks;
     std::vector<os::SyncEvent> events;  ///< raw trace (diagnostics)
+
+    /**
+     * Storage behind every epochs[i].active. Copies of the record
+     * share it: packed words never change once written, and appending
+     * never moves them.
+     */
+    std::shared_ptr<EpochArena> arena = std::make_shared<EpochArena>();
+
+    /** Append @p ep with @p active (ascending tid) packed into arena. */
+    void
+    appendEpoch(Epoch ep, std::span<const EpochThread> active)
+    {
+        ep.active = arena->append(active);
+        epochs.push_back(ep);
+    }
 };
 
 /**
@@ -98,7 +113,10 @@ class RunRecorder : public os::SyncListener
     /** Build the final record. Call after System::run(). */
     RunRecord finalize();
 
-    /** Epochs closed so far (live view for the energy manager). */
+    /**
+     * Epochs closed so far (live view for the energy manager). Their
+     * active views stay valid while recording continues.
+     */
     const std::vector<Epoch> &epochs() const { return _epochs; }
 
     /** GC phase marks so far. */
@@ -114,6 +132,8 @@ class RunRecorder : public os::SyncListener
 
     Tick _epochStart = 0;
     std::vector<uarch::PerfCounters> _snapshots;
+    /** Packed deltas behind _epochs; moves into the final record. */
+    std::shared_ptr<EpochArena> _arena = std::make_shared<EpochArena>();
     /** Core occupants at the closing boundary, ascending tid. */
     std::vector<os::ThreadId> _running;
 

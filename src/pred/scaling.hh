@@ -44,6 +44,26 @@ struct ModelSpec {
 /** Printable name of a base estimator. */
 const char *baseEstimatorName(BaseEstimator e);
 
+/**
+ * The counter field @p base reads as non-scaling time (the field
+ * nonscalingTime reads, for readers of packed epoch entries).
+ */
+inline uarch::CounterField
+nonscalingField(BaseEstimator base)
+{
+    switch (base) {
+      case BaseEstimator::StallTime:
+        return uarch::CounterField::StallNonscaling;
+      case BaseEstimator::LeadingLoads:
+        return uarch::CounterField::LeadingNonscaling;
+      case BaseEstimator::Crit:
+        return uarch::CounterField::CritNonscaling;
+      case BaseEstimator::Oracle:
+        break;
+    }
+    return uarch::CounterField::TrueMemTime;
+}
+
 /** Non-scaling time of a counter block under @p spec. */
 inline Tick
 nonscalingTime(const uarch::PerfCounters &c, const ModelSpec &spec)

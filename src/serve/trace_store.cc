@@ -12,10 +12,8 @@ TraceStore::footprint(const trace::LoadedTrace &t)
     bytes += rec.threads.size() * sizeof(pred::ThreadSummary);
     bytes += rec.gcMarks.size() * sizeof(pred::GcPhaseMark);
     bytes += rec.events.size() * sizeof(rec.events[0]);
-    for (const pred::Epoch &ep : rec.epochs) {
-        bytes += sizeof(pred::Epoch);
-        bytes += ep.active.size() * sizeof(pred::EpochThread);
-    }
+    bytes += rec.epochs.size() * sizeof(pred::Epoch);
+    bytes += rec.arena->bytes();
     return bytes;
 }
 

@@ -106,12 +106,19 @@ decodeEpochs(Cursor &c, pred::RunRecord &rec)
         ep.stallTid = c.u32();
         const std::uint64_t actives = c.u64();
         checkCount(c, actives, 8 + kCounterBytes, "epoch.active");
-        ep.active.resize(static_cast<std::size_t>(actives));
-        for (pred::EpochThread &et : ep.active) {
-            et.tid = c.u32();
+        // Packed as the recorder packs: bounded by the image size,
+        // since each entry's wire bytes cover its worst-case words.
+        std::uint64_t *w =
+            rec.arena->reserve(static_cast<std::size_t>(actives));
+        for (std::uint64_t k = 0; k < actives; ++k) {
+            const os::ThreadId tid = c.u32();
             checkZero(c.u32(), c.offset(), "epoch.active.pad");
-            decodeCounters(c, et.delta);
+            uarch::PerfCounters delta;
+            decodeCounters(c, delta);
+            w += pred::PackedThread::pack(w, tid, delta);
         }
+        ep.active =
+            rec.arena->commit(w, static_cast<std::size_t>(actives));
     }
 }
 

@@ -16,7 +16,10 @@
 #ifndef DVFS_UARCH_PERF_COUNTERS_HH
 #define DVFS_UARCH_PERF_COUNTERS_HH
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <type_traits>
 
 #include "sim/time.hh"
 
@@ -117,6 +120,53 @@ struct PerfCounters {
         return *this;
     }
 };
+
+/**
+ * Index of each PerfCounters field, in declaration order. The packed
+ * epoch record (pred::EpochArena) uses it as the bit position of the
+ * field in an entry's nonzero-field mask.
+ */
+enum class CounterField : unsigned {
+    BusyTime,
+    Instructions,
+    CritNonscaling,
+    LeadingNonscaling,
+    StallNonscaling,
+    SqFullTime,
+    TrueMemTime,
+    ComputeTime,
+    L1Hits,
+    L2Hits,
+    L3Hits,
+    DramLoads,
+    MissClusters,
+    StoreBursts,
+    StoreLines,
+};
+
+/** Number of PerfCounters fields. */
+inline constexpr unsigned kCounterFields =
+    static_cast<unsigned>(CounterField::StoreLines) + 1;
+
+/** A PerfCounters block as its fields' words, in CounterField order. */
+using CounterWords = std::array<std::uint64_t, kCounterFields>;
+
+static_assert(std::is_trivially_copyable_v<PerfCounters> &&
+                  sizeof(PerfCounters) == sizeof(CounterWords),
+              "every PerfCounters field must be one 64-bit word with no "
+              "padding, listed in CounterField");
+
+inline CounterWords
+toWords(const PerfCounters &c)
+{
+    return std::bit_cast<CounterWords>(c);
+}
+
+inline PerfCounters
+fromWords(const CounterWords &w)
+{
+    return std::bit_cast<PerfCounters>(w);
+}
 
 } // namespace dvfs::uarch
 

@@ -88,24 +88,27 @@ referenceRange(const std::vector<Epoch> &epochs, std::size_t first,
 }
 
 /**
- * Random epochs of up to @p max_len ticks: some with no active
- * thread, non-scaling counters that sometimes exceed the busy time
- * (the clamp), and stall tids both inside and outside the active set.
+ * A record of random epochs of up to @p max_len ticks: some with no
+ * active thread, non-scaling counters that sometimes exceed the busy
+ * time (the clamp), and stall tids both inside and outside the active
+ * set.
  */
-std::vector<Epoch>
-randomEpochs(sim::Rng &rng, std::size_t n, Tick max_len = 200 * kTicksPerUs)
+RunRecord
+randomRecord(sim::Rng &rng, std::size_t n, Tick max_len = 200 * kTicksPerUs)
 {
-    std::vector<Epoch> epochs;
+    RunRecord rec;
+    std::vector<EpochThread> active;
     Tick t = 0;
     for (std::size_t i = 0; i < n; ++i) {
         Epoch ep;
         ep.start = t;
         t += 1 + rng.nextBounded(max_len);
         ep.end = t;
+        active.clear();
         if (!rng.nextBool(0.15)) {
             // Ascending distinct tids, as the recorder produces them.
             for (os::ThreadId tid = 0; tid < 10; ++tid) {
-                if (ep.active.size() == 4 || !rng.nextBool(0.35))
+                if (active.size() == 4 || !rng.nextBool(0.35))
                     continue;
                 EpochThread et;
                 et.tid = tid;
@@ -117,14 +120,14 @@ randomEpochs(sim::Rng &rng, std::size_t n, Tick max_len = 200 * kTicksPerUs)
                 c.stallNonscaling = rng.nextBounded(cap);
                 c.trueMemTime = rng.nextBounded(cap);
                 c.sqFullTime = rng.nextBounded(c.busyTime / 3 + 1);
-                ep.active.push_back(et);
+                active.push_back(et);
             }
         }
         if (rng.nextBool(0.5))
             ep.stallTid = static_cast<os::ThreadId>(rng.nextBounded(12));
-        epochs.push_back(std::move(ep));
+        rec.appendEpoch(ep, active);
     }
-    return epochs;
+    return rec;
 }
 
 bool
@@ -150,10 +153,11 @@ TEST(DepTerms, CompactAlgorithmOneMatchesTwoPassReference)
         // with totals past 2^53 ticks, where doubles stop holding
         // integers exactly and any change in summation order shows.
         const bool long_run = trial % 4 == 3;
-        const auto epochs =
-            long_run ? randomEpochs(rng, 600 + rng.nextBounded(900),
+        const RunRecord rec =
+            long_run ? randomRecord(rng, 600 + rng.nextBounded(900),
                                     Tick{1} << 46)
-                     : randomEpochs(rng, 1 + rng.nextBounded(400));
+                     : randomRecord(rng, 1 + rng.nextBounded(400));
+        const std::vector<Epoch> &epochs = rec.epochs;
         for (BaseEstimator base : bases) {
             for (bool burst : {false, true}) {
                 for (bool across : {false, true}) {
@@ -212,7 +216,8 @@ TEST(DepTerms, WholeAvroraRecordMatchesTwoPassReference)
 TEST(DepTerms, EmptySpanPredictsZero)
 {
     sim::Rng rng(7);
-    const auto epochs = randomEpochs(rng, 10);
+    const RunRecord rec = randomRecord(rng, 10);
+    const std::vector<Epoch> &epochs = rec.epochs;
     DepPredictor dep({BaseEstimator::Crit, true});
     EXPECT_EQ(dep.predictEpochRange(epochs, 5, 5, 0.5), 0u);
     EXPECT_EQ(dep.predictEpochRange(epochs, 12, 20, 0.5), 0u);

@@ -7,6 +7,10 @@
  * exactly byte-serial FNV-1a, so each case here streams the same words
  * through Fnv1a and through a plain eight-steps-per-word reference and
  * demands the same digest after every word.
+ *
+ * The record digest walks packed epoch entries and folds each run of
+ * zero fields into one step; it is checked against a byte-serial
+ * digest of the decoded record, field by field.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "exp/experiment.hh"
 #include "exp/sweep/fingerprint.hh"
+#include "exp/sweep/sweep.hh"
 #include "sim/rng.hh"
+#include "wl/suite.hh"
 
 using namespace dvfs;
 using exp::sweep::Fnv1a;
@@ -37,6 +44,21 @@ class ReferenceFnv1a
             _h ^= (v >> (i * 8)) & 0xff;
             _h *= 0x100000001b3ULL;
         }
+    }
+
+    void
+    mixDouble(double v)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        mix(bits);
+    }
+
+    void
+    mixCounters(const uarch::PerfCounters &c)
+    {
+        for (std::uint64_t f : uarch::toWords(c))
+            mix(f);
     }
 
     std::uint64_t digest() const { return _h; }
@@ -159,4 +181,96 @@ TEST(Fnv1a, MixStringIsLengthThenBytes)
         expect *= 0x100000001b3ULL;
     }
     EXPECT_EQ(h.digest(), expect);
+}
+
+TEST(Fnv1a, MixZerosIsKZeroWords)
+{
+    // From several running states, since the fold is a multiply.
+    sim::Rng rng(0x2e05);
+    for (int trial = 0; trial < 8; ++trial) {
+        const std::uint64_t prefix = trial == 0 ? 0 : rng.next();
+        for (unsigned k = 0; k <= 15; ++k) {
+            Fnv1a folded, stepped;
+            ReferenceFnv1a ref;
+            if (trial != 0) {
+                folded.mix(prefix);
+                stepped.mix(prefix);
+                ref.mix(prefix);
+            }
+            folded.mixZeros(k);
+            for (unsigned i = 0; i < k; ++i) {
+                stepped.mix(0);
+                ref.mix(0);
+            }
+            EXPECT_EQ(folded.digest(), stepped.digest()) << "k = " << k;
+            EXPECT_EQ(folded.digest(), ref.digest()) << "k = " << k;
+        }
+    }
+}
+
+namespace {
+
+/**
+ * fingerprintRun of a fixed run, byte-serial over the decoded record:
+ * every epoch thread's fifteen fields, zero or not.
+ */
+std::uint64_t
+referenceFingerprint(const exp::FixedRunOutput &out)
+{
+    ReferenceFnv1a h;
+    h.mix(out.freq.toMHz());
+    h.mix(out.totalTime);
+    h.mix(out.events);
+    h.mix(out.collections);
+    h.mix(out.gcTime);
+    h.mix(out.allocatedBytes);
+    h.mixCounters(out.totals);
+    h.mixDouble(out.energy.coreDynamic);
+    h.mixDouble(out.energy.coreStatic);
+    h.mixDouble(out.energy.uncore);
+    h.mixDouble(out.energy.dram);
+    const pred::RunRecord &rec = out.record;
+    h.mix(rec.baseFreq.toMHz());
+    h.mix(rec.totalTime);
+    h.mix(rec.epochs.size());
+    for (const pred::Epoch &e : rec.epochs) {
+        h.mix(e.start);
+        h.mix(e.end);
+        h.mix(static_cast<std::uint64_t>(e.boundary));
+        h.mix(static_cast<std::uint64_t>(e.stallTid));
+        h.mix(e.active.size());
+        for (const pred::EpochThread &t : e.active) {
+            h.mix(static_cast<std::uint64_t>(t.tid));
+            h.mixCounters(t.delta);
+        }
+    }
+    h.mix(rec.threads.size());
+    for (const pred::ThreadSummary &t : rec.threads) {
+        h.mix(static_cast<std::uint64_t>(t.tid));
+        h.mix(t.service ? 1 : 0);
+        h.mix(t.spawnTick);
+        h.mix(t.exitTick);
+        h.mixCounters(t.totals);
+    }
+    h.mix(rec.gcMarks.size());
+    for (const pred::GcPhaseMark &m : rec.gcMarks) {
+        h.mix(m.tick);
+        h.mix(m.begin ? 1 : 0);
+    }
+    return h.digest();
+}
+
+} // namespace
+
+TEST(FingerprintRun, PackedWalkMatchesDecodedWalkOnAvrora)
+{
+    // avrora's golden-seed 1 GHz sampled cell: ~66k epochs, most of
+    // their delta fields zero.
+    exp::RunOptions ro;
+    ro.mode = exp::SimMode::Sampled;
+    ro.seed = exp::sweep::SweepSpec::replicateSeeds(42, 1)[0];
+    const auto out = exp::runFixed(wl::benchmarkByName("avrora"),
+                                   Frequency::ghz(1.0), ro);
+    ASSERT_GT(out.record.epochs.size(), 60'000u);
+    EXPECT_EQ(exp::sweep::fingerprintRun(out), referenceFingerprint(out));
 }

@@ -77,9 +77,12 @@ expectRecordsEq(const pred::RunRecord &a, const pred::RunRecord &b)
         EXPECT_EQ(ea.boundary, eb.boundary) << "epoch " << i;
         EXPECT_EQ(ea.stallTid, eb.stallTid) << "epoch " << i;
         ASSERT_EQ(ea.active.size(), eb.active.size()) << "epoch " << i;
-        for (std::size_t t = 0; t < ea.active.size(); ++t) {
-            EXPECT_EQ(ea.active[t].tid, eb.active[t].tid);
-            expectCountersEq(ea.active[t].delta, eb.active[t].delta);
+        auto tb = eb.active.begin();
+        for (const pred::EpochThread &ta : ea.active) {
+            const pred::EpochThread t = *tb;
+            ++tb;
+            EXPECT_EQ(ta.tid, t.tid);
+            expectCountersEq(ta.delta, t.delta);
         }
     }
 
