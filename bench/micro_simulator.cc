@@ -63,9 +63,10 @@ struct SteadyTimer {
 
 /**
  * The simulator's steady state: a fixed population of live events,
- * each rescheduling itself 1 ns to 20 us ahead in femtosecond ticks,
- * so placements land on wheel levels 2-4 and reach level 0 through
- * the cascade. One runOne() per iteration, as os::System drives it.
+ * each rescheduling itself 1 ns to 20 us ahead in femtosecond ticks.
+ * Arg(8) is the simulator's real size (at most 8 pending, see
+ * tests/test_event_traffic.cc); Arg(64) a deeper heap. One runOne()
+ * per iteration, as os::System drives it.
  */
 static void
 BM_EventQueueSteadyState(benchmark::State &state)

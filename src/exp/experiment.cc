@@ -91,6 +91,7 @@ class Harness
         out.energy = meter.energy();
         out.collections = inst.runtime->collections();
         out.mode = _opts.mode;
+        out.eventEntries = inst.sys->eventQueue().entriesAllocated();
         if (const sim::SamplingController *sc = inst.sys->sampling())
             out.sampling = sc->finalStats();
         if (_auditor) {

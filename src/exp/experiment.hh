@@ -64,6 +64,8 @@ struct FixedRunOutput {
     std::uint64_t allocatedBytes = 0;
     uarch::PerfCounters totals;
     std::uint64_t events = 0;
+    /** Event-queue pool high-water mark (fingerprint-neutral). */
+    std::size_t eventEntries = 0;
 
     /** Mode the run executed under (new fields: fingerprint-neutral). */
     SimMode mode = SimMode::Exact;
@@ -121,6 +123,8 @@ struct ManagedRunOutput {
     std::uint32_t collections = 0;
     double averageGHz = 0.0;
     std::uint64_t transitions = 0;
+    /** Event-queue pool high-water mark (fingerprint-neutral). */
+    std::size_t eventEntries = 0;
 
     /**
      * Mode the run executed under, and its sampling provenance

@@ -192,6 +192,12 @@ DepPredictor::compactEpochs(const std::vector<Epoch> &epochs,
     if (first >= last)
         return;
     out.epochs.reserve(last - first);
+    // Size the terms up front: a manager quantum compacts into a fresh
+    // block, which would otherwise regrow about ten times.
+    std::size_t terms = 0;
+    for (std::size_t i = first; i < last; ++i)
+        terms += epochs[i].active.size();
+    out.terms.reserve(terms);
     // Only busy time and the estimator's fields are read, straight
     // from the packed entries.
     const uarch::CounterField base_field = nonscalingField(_spec.base);

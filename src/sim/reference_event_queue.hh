@@ -2,11 +2,14 @@
  * @file
  * Reference binary-heap event queue.
  *
- * This is the pre-timing-wheel EventQueue implementation, kept verbatim
- * as an executable specification of the dispatch-order contract:
- * earliest tick first, insertion order within a tick. The differential
- * test (tests/test_event_queue_differential.cc) drives a seeded random
- * op stream through this queue and the production timing wheel and
+ * The binary-heap EventQueue that preceded the timing wheel (and the
+ * indexed heap that replaced the wheel), kept verbatim as an executable
+ * specification of the dispatch-order contract: earliest tick first,
+ * insertion order within a tick. It shares nothing with the production
+ * queue's heap: it orders Entry pointers in a std::priority_queue and
+ * cancels lazily, skipping dead entries at pop. The differential test
+ * (tests/test_event_queue_differential.cc) drives seeded random op
+ * streams through this queue and the production indexed heap and
  * requires identical firing sequences.
  *
  * Not used on any simulation path; only tests link against it.

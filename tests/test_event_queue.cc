@@ -195,6 +195,23 @@ TEST(EventQueue, PoolReusedAcrossManyScheduleCancelCycles)
     EXPECT_EQ(eq.entriesAllocated(), primed);
 }
 
+/**
+ * A burst larger than any fixed pool cap: every entry it freed is
+ * reused by the next burst, so the pool stays at one burst's size.
+ */
+TEST(EventQueue, PoolRecyclesEveryEntryOfLargeBursts)
+{
+    EventQueue eq;
+    constexpr int kBurst = 10'000;
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < kBurst; ++i)
+            eq.schedule(eq.now() + 1 + static_cast<Tick>(i), [] {});
+        EXPECT_EQ(eq.run(), static_cast<std::uint64_t>(kBurst));
+        EXPECT_EQ(eq.entriesAllocated(), static_cast<std::size_t>(kBurst))
+            << "round " << round;
+    }
+}
+
 /** Stress: interleaved schedule/cancel stays consistent. */
 TEST(EventQueue, StressManyEventsDeterministic)
 {

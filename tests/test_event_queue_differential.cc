@@ -1,10 +1,10 @@
 /**
  * @file
- * Differential and edge-case tests for the timing-wheel event kernel.
+ * Differential and edge-case tests for the event kernel.
  *
- * The wheel (EventQueue) must be observationally identical to the
- * retired binary-heap implementation (ReferenceEventQueue), which is
- * kept as an executable specification of the dispatch-order contract:
+ * The indexed heap (EventQueue) must be observationally identical to
+ * ReferenceEventQueue, a lazily-cancelling std::priority_queue kept as
+ * an executable specification of the dispatch-order contract:
  * earliest tick first, insertion order within a tick. A seeded random
  * op stream — schedule, cancel, same-tick reschedule from inside
  * callbacks, partial runUntil — is driven through both queues and the
@@ -13,16 +13,15 @@
  *
  * A second stream has the simulator's shape: a few dozen live
  * events that each reschedule themselves 1 ns to 20 us ahead at
- * femtosecond ticks, so most placements land on wheel levels 2-4 and
- * reach level 0 through the cascade.
+ * femtosecond ticks, with same-tick bursts and cancel-and-rearm.
  *
- * The edge-case tests pin down the wheel-specific machinery the
- * random stream is unlikely to stress deterministically: scheduling
- * at the current tick, cancelling entries parked in the far-future
- * overflow list (before and after a rebase), cursor movement across
- * every wheel level, a runUntil limit that stops short of an upper
- * slot's earliest entry, and pool reuse under a million
- * schedule/cancel cycles.
+ * The edge-case tests pin down what the random streams are unlikely
+ * to hit deterministically: scheduling at the current tick, ticks at
+ * and beyond 2^48 and at every byte boundary below it, cancels after
+ * long jumps, a runUntil limit far short of the only pending event,
+ * pool reuse under a million schedule/cancel cycles, and cancels of
+ * the heap's root, last and interior nodes, from outside and from
+ * inside a callback.
  */
 
 #include <gtest/gtest.h>
@@ -116,8 +115,8 @@ runScript(std::uint32_t seed, unsigned ops)
 }
 
 /**
- * Long-horizon stream: deltas big enough to exercise upper wheel
- * levels and the overflow list against the reference.
+ * Long-horizon stream: deltas from 1 tick to ~2^50 ticks, far past
+ * the simulator's range, against the reference.
  */
 template <typename Queue>
 std::vector<TraceStep>
@@ -128,11 +127,10 @@ longHorizonScript(std::uint32_t seed)
     std::uint64_t tok = 1;
     sim::Rng rng(seed);
     for (unsigned i = 0; i < 300; ++i) {
-        // Spread deltas across ~2^50 so placements hit every level
-        // and the overflow path.
-        const unsigned level_bits =
+        // Spread deltas across ~2^50, one power of two at a time.
+        const unsigned shift =
             static_cast<unsigned>(rng.nextBounded(50));
-        Tick delta = (Tick{1} << level_bits) + rng.nextBounded(1000);
+        Tick delta = (Tick{1} << shift) + rng.nextBounded(1000);
         const std::uint64_t t = tok++;
         auto *tp = &trace;
         Queue *qp = &q;
@@ -158,7 +156,7 @@ constexpr std::uint64_t kPendingMark = 0x1000000000000000ull;
  * exactly 20 us (timeslice-style repeats that collide with each
  * other). Every 8th firing cancels the next actor's pending event and
  * re-arms it at the same tick, which moves it behind any same-tick
- * peers; that entry usually sits in a slot the cascade just re-filed.
+ * peers.
  * Deltas come from a table fixed before the run, indexed by actor and
  * firing count, so both queues see the same stream whatever order
  * they fire in.
@@ -189,10 +187,9 @@ class SimShapedScript
             const std::uint32_t op =
                 static_cast<std::uint32_t>(_rng.nextBounded(100));
             if (op < 15) {
-                // Same-tick burst inside one upper slot: an earlier
-                // one-shot, then three at a later shared tick. The
-                // limit probe below often stops between the slot's
-                // start and its earliest entry.
+                // Same-tick burst: an earlier one-shot, then three at
+                // a later shared tick. The limit probe below often
+                // stops short of all four.
                 const Tick base =
                     _q.now() + _rng.nextRange(Tick{1} << 16, Tick{1} << 34);
                 const Tick t = base | 0xC000;
@@ -271,11 +268,11 @@ class SimShapedScript
 TEST(EventQueueDifferential, WheelMatchesReferenceHeap)
 {
     for (std::uint32_t seed : {1u, 2u, 3u, 77u, 1234u}) {
-        auto wheel = runScript<sim::EventQueue>(seed, 2000);
+        auto queue = runScript<sim::EventQueue>(seed, 2000);
         auto heap = runScript<sim::ReferenceEventQueue>(seed, 2000);
-        ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
-        for (std::size_t i = 0; i < wheel.size(); ++i) {
-            ASSERT_EQ(wheel[i], heap[i])
+        ASSERT_EQ(queue.size(), heap.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+            ASSERT_EQ(queue[i], heap[i])
                 << "seed " << seed << " step " << i;
         }
     }
@@ -284,9 +281,9 @@ TEST(EventQueueDifferential, WheelMatchesReferenceHeap)
 TEST(EventQueueDifferential, LongHorizonStreamMatches)
 {
     for (std::uint32_t seed : {5u, 6u, 7u}) {
-        auto wheel = longHorizonScript<sim::EventQueue>(seed);
+        auto queue = longHorizonScript<sim::EventQueue>(seed);
         auto heap = longHorizonScript<sim::ReferenceEventQueue>(seed);
-        EXPECT_EQ(wheel, heap) << "seed " << seed;
+        EXPECT_EQ(queue, heap) << "seed " << seed;
     }
 }
 
@@ -294,15 +291,15 @@ TEST(EventQueueDifferential, SimulatorShapedTrafficMatches)
 {
     for (unsigned actors : {4u, 8u, 23u, 64u}) {
         for (std::uint32_t seed : {11u, 12u}) {
-            auto wheel =
+            auto queue =
                 SimShapedScript<sim::EventQueue>(seed, actors).run(3000);
             auto heap = SimShapedScript<sim::ReferenceEventQueue>(
                             seed, actors)
                             .run(3000);
-            ASSERT_EQ(wheel.size(), heap.size())
+            ASSERT_EQ(queue.size(), heap.size())
                 << "actors " << actors << " seed " << seed;
-            for (std::size_t i = 0; i < wheel.size(); ++i) {
-                ASSERT_EQ(wheel[i], heap[i]) << "actors " << actors
+            for (std::size_t i = 0; i < queue.size(); ++i) {
+                ASSERT_EQ(queue[i], heap[i]) << "actors " << actors
                                              << " seed " << seed
                                              << " step " << i;
             }
@@ -310,17 +307,20 @@ TEST(EventQueueDifferential, SimulatorShapedTrafficMatches)
     }
 }
 
+// The EventQueueWheel cases were written against the timing wheel
+// that preceded the heap, at its slot, level and horizon boundaries.
+// They use only the public API and stay as edge cases.
+
 TEST(EventQueueWheel, LimitBeforeUpperSlotsEarliestEntry)
 {
     sim::EventQueue q;
     std::vector<int> order;
-    // Level 3, slot 5: the slot starts at 5<<24 and its only entry
-    // sits 0x123456 ticks later.
+    // One event far ahead (5<<24 + 0x123456).
     const Tick slot_start = Tick{5} << 24;
     const Tick far = slot_start + 0x123456;
     q.schedule(far, [&] { order.push_back(3); });
 
-    // The limit lies past the slot's start but before its entry:
+    // The limit lies well ahead of now but before the event:
     // nothing fires and time stops at the limit.
     const Tick limit = slot_start + 0x1000;
     EXPECT_EQ(q.runUntil(limit), 0u);
@@ -348,7 +348,7 @@ TEST(EventQueueWheel, ScheduleAtCurrentTickFiresInBatch)
     q.schedule(0, [&] { order.push_back(1); });
     q.schedule(0, [&] {
         order.push_back(2);
-        // Same-tick child from inside the batch: runs after every
+        // Same-tick child from inside a callback: runs after every
         // previously inserted tick-0 event, before any later tick.
         q.schedule(q.now(), [&] { order.push_back(3); });
     });
@@ -363,7 +363,7 @@ TEST(EventQueueWheel, CancelOverflowAndCascadedEntries)
     sim::EventQueue q;
     std::vector<int> fired;
 
-    // Beyond the 48-bit horizon: parked on the overflow list.
+    // Ticks beyond 2^48.
     const Tick far = Tick{1} << 49;
     EventId f1 = q.schedule(far, [&] { fired.push_back(1); });
     EventId f2 = q.schedule(far + 5, [&] { fired.push_back(2); });
@@ -371,14 +371,12 @@ TEST(EventQueueWheel, CancelOverflowAndCascadedEntries)
     q.schedule(100, [&] { fired.push_back(0); });
     EXPECT_EQ(q.pending(), 4u);
 
-    // Cancel straight off the overflow list — including the entry
-    // holding the overflow minimum, forcing the exact-min rescan.
+    // Cancel the earliest far event before anything has run.
     EXPECT_TRUE(q.cancel(f1));
     EXPECT_FALSE(q.cancel(f1));  // already gone
     EXPECT_EQ(q.pending(), 3u);
 
-    // Fire the near event, then step into the far epoch: the rebase
-    // pulls f2/f3 out of overflow into the wheel.
+    // Fire the near event, then jump 2^49 ticks ahead.
     EXPECT_TRUE(q.runOne());
     EXPECT_EQ(fired, std::vector<int>{0});
     EXPECT_TRUE(q.runOne());
@@ -386,9 +384,8 @@ TEST(EventQueueWheel, CancelOverflowAndCascadedEntries)
     EXPECT_EQ(fired, (std::vector<int>{0, 2}));
     EXPECT_FALSE(q.cancel(f2));  // already fired
 
-    // f3 fired in the same batch? No: runOne dispatches one event.
-    // It is now a live wheel entry at the current tick; cancel it
-    // post-cascade.
+    // runOne dispatches one event, so f3 is still pending at the
+    // current tick after the jump; cancel it.
     EXPECT_TRUE(q.cancel(f3));
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.run(), 0u);
@@ -398,19 +395,19 @@ TEST(EventQueueWheel, CursorCrossesEveryLevel)
 {
     sim::EventQueue q;
     std::vector<Tick> fired;
-    // One event per wheel level, plus byte-boundary neighbours that
-    // force cascades (255 -> 256 crosses level 0 into level 1, etc).
+    // Every byte boundary of a 48-bit tick and its neighbours (255,
+    // 256, 257, ...).
     std::vector<Tick> ticks;
     for (unsigned level = 0; level < 6; ++level) {
         const Tick base = Tick{1} << (8 * level);
         ticks.push_back(base);
         ticks.push_back(base + 1);
         if (level > 0)
-            ticks.push_back(base - 1);  // last slot of the level below
+            ticks.push_back(base - 1);
     }
-    ticks.push_back((Tick{1} << 48) - 1);  // horizon edge: still wheel
-    ticks.push_back(Tick{1} << 48);        // first overflow tick
-    // Insert in reverse so wheel order, not insertion order, decides.
+    ticks.push_back((Tick{1} << 48) - 1);
+    ticks.push_back(Tick{1} << 48);
+    // Insert in reverse so tick order, not insertion order, decides.
     for (auto it = ticks.rbegin(); it != ticks.rend(); ++it) {
         Tick t = *it;
         q.schedule(t, [&fired, &q] { fired.push_back(q.now()); });
@@ -425,9 +422,8 @@ TEST(EventQueueWheel, SameTickFifoSurvivesCascade)
 {
     sim::EventQueue q;
     std::vector<int> order;
-    // Two same-tick events filed at an upper level (tick differs from
-    // the cursor in byte 3): the cascade down to level 0 must keep
-    // their insertion order.
+    // Two same-tick events far ahead, scheduled before an earlier one:
+    // they must keep their insertion order.
     const Tick t = (Tick{3} << 24) + 42;
     q.schedule(t, [&] { order.push_back(1); });
     q.schedule(t, [&] { order.push_back(2); });
@@ -456,4 +452,179 @@ TEST(EventQueueWheel, MillionScheduleCancelReusesPool)
     EXPECT_LE(q.entriesAllocated(), kWindow + 1);
     EXPECT_EQ(q.run(), kWindow);
     EXPECT_EQ(fired, kWindow);
+}
+
+namespace {
+
+/**
+ * Schedule @p n events at a fixed shuffle of distinct ticks, then
+ * cancel the one scheduled @p victim-th and run; returns the trace of
+ * (token, tick) firings. Each heap position holds one event, so over
+ * every @p victim this removes the node at every position: the root,
+ * interior nodes, leaves and the last node. Ticks are distinct while
+ * @p n is coprime to 37.
+ */
+template <typename Queue>
+std::vector<TraceStep>
+cancelOneOf(unsigned n, unsigned victim)
+{
+    Queue q;
+    std::vector<TraceStep> trace;
+    std::vector<EventId> ids;
+    for (unsigned i = 0; i < n; ++i) {
+        const Tick t = 10 + (i * 37u) % n * 100;
+        ids.push_back(q.schedule(t, [&trace, &q, i] {
+            trace.emplace_back(i, q.now());
+        }));
+    }
+    trace.emplace_back(q.cancel(ids[victim]) ? kCancelHit : kCancelMiss,
+                       q.pending());
+    q.run();
+    return trace;
+}
+
+/** Ascending ticks: the last scheduled is the last heap node. */
+template <typename Queue>
+std::vector<TraceStep>
+cancelByRole(unsigned n)
+{
+    Queue q;
+    std::vector<TraceStep> trace;
+    std::vector<EventId> ids;
+    for (unsigned i = 0; i < n; ++i) {
+        ids.push_back(q.schedule(100 * (i + 1), [&trace, &q, i] {
+            trace.emplace_back(i, q.now());
+        }));
+    }
+    // The root (earliest), the last node (latest, scheduled last) and
+    // an interior node (the second earliest, parent of later nodes).
+    for (unsigned k : {0u, n - 1, 1u})
+        trace.emplace_back(q.cancel(ids[k]) ? kCancelHit : kCancelMiss,
+                           q.pending());
+    // Refill past the cancelled root's tick and drain half-way.
+    q.schedule(150, [&trace, &q] { trace.emplace_back(9000, q.now()); });
+    trace.emplace_back(0, q.runUntil(150 + 100 * (n / 2)));
+    q.run();
+    return trace;
+}
+
+/**
+ * A callback cancels siblings: one at its own tick (scheduled behind
+ * it), one later, and itself (already fired, so a miss).
+ */
+template <typename Queue>
+std::vector<TraceStep>
+callbackCancelsSibling()
+{
+    Queue q;
+    std::vector<TraceStep> trace;
+    EventId self = sim::kNoEvent, same = sim::kNoEvent,
+            later = sim::kNoEvent;
+    auto mark = [&trace, &q](std::uint64_t tok) {
+        return [&trace, &q, tok] { trace.emplace_back(tok, q.now()); };
+    };
+    q.schedule(5, mark(1));
+    self = q.schedule(10, [&] {
+        trace.emplace_back(2, q.now());
+        trace.emplace_back(q.cancel(same) ? kCancelHit : kCancelMiss, 0);
+        trace.emplace_back(q.cancel(later) ? kCancelHit : kCancelMiss, 0);
+        trace.emplace_back(q.cancel(self) ? kCancelHit : kCancelMiss, 0);
+    });
+    same = q.schedule(10, mark(3));
+    q.schedule(10, mark(4));
+    later = q.schedule(20, mark(5));
+    q.schedule(20, mark(6));
+    q.run();
+    trace.emplace_back(kPendingMark, q.pending());
+    return trace;
+}
+
+/**
+ * 1,000 events at one tick, with a cancel of an earlier one after
+ * every third schedule and a few earlier/later ticks mixed in.
+ */
+template <typename Queue>
+std::vector<TraceStep>
+sameTickWithCancels()
+{
+    Queue q;
+    std::vector<TraceStep> trace;
+    std::vector<EventId> ids;
+    for (unsigned i = 0; i < 1000; ++i) {
+        ids.push_back(q.schedule(500, [&trace, &q, i] {
+            trace.emplace_back(i, q.now());
+        }));
+        if (i % 3 == 2)
+            q.cancel(ids[i - 2 + i % 2]);
+        if (i % 97 == 0) {
+            q.schedule(400 + i % 200, [&trace, &q, i] {
+                trace.emplace_back(100000 + i, q.now());
+            });
+        }
+    }
+    q.run();
+    return trace;
+}
+
+} // namespace
+
+TEST(EventQueueHeap, CancelAtEveryPositionMatchesReference)
+{
+    for (unsigned n : {1u, 2u, 5u, 7u, 21u, 64u}) {
+        for (unsigned victim = 0; victim < n; ++victim) {
+            EXPECT_EQ(cancelOneOf<sim::EventQueue>(n, victim),
+                      cancelOneOf<sim::ReferenceEventQueue>(n, victim))
+                << "n " << n << " victim " << victim;
+        }
+    }
+}
+
+TEST(EventQueueHeap, CancelRootLastAndInteriorMatchReference)
+{
+    for (unsigned n : {3u, 6u, 9u, 40u}) {
+        const auto heap = cancelByRole<sim::EventQueue>(n);
+        EXPECT_EQ(heap, cancelByRole<sim::ReferenceEventQueue>(n))
+            << "n " << n;
+        // Three hits, then the refill fires before every survivor.
+        ASSERT_GE(heap.size(), 5u);
+        EXPECT_EQ(heap[0].first, kCancelHit);
+        EXPECT_EQ(heap[1].first, kCancelHit);
+        EXPECT_EQ(heap[2].first, kCancelHit);
+        EXPECT_EQ(heap[3], TraceStep(9000, 150));
+    }
+}
+
+TEST(EventQueueHeap, CallbackCancelsSiblingEvent)
+{
+    const auto heap = callbackCancelsSibling<sim::EventQueue>();
+    EXPECT_EQ(heap, callbackCancelsSibling<sim::ReferenceEventQueue>());
+    const std::vector<TraceStep> expect = {
+        {1, 5},          {2, 10},         {kCancelHit, 0},
+        {kCancelHit, 0}, {kCancelMiss, 0}, {4, 10},
+        {6, 20},         {kPendingMark, 0}};
+    EXPECT_EQ(heap, expect);
+}
+
+TEST(EventQueueHeap, ThousandSameTickEventsKeepFifoAcrossCancels)
+{
+    const auto heap = sameTickWithCancels<sim::EventQueue>();
+    EXPECT_EQ(heap, sameTickWithCancels<sim::ReferenceEventQueue>());
+    // The tick-500 survivors fire in insertion order: of each three,
+    // the one cancelled is i-2 for even i, i-1 for odd i.
+    std::vector<std::uint64_t> fired;
+    for (const TraceStep &s : heap)
+        if (s.first < 100000) {
+            EXPECT_EQ(s.second, 500u);
+            fired.push_back(s.first);
+        }
+    std::vector<std::uint64_t> expect;
+    for (unsigned i = 0; i < 1000; ++i) {
+        const unsigned base = i - i % 3;
+        const bool complete = base + 2 < 1000;
+        const unsigned gone = base + (base + 2) % 2;
+        if (!complete || i != gone)
+            expect.push_back(i);
+    }
+    EXPECT_EQ(fired, expect);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
