@@ -69,7 +69,7 @@ runDirection(const char *label, Frequency base, Frequency target,
         for (const auto &s : specs) {
             auto p = registry.make("DEP", s);
             double e = Predictor::relativeError(
-                p->predict(base_cell.view(), target), actual);
+                p->predict(base_cell.record(), target), actual);
             errs[s.name()].push_back(e);
             row.push_back(exp::Table::pct(e));
         }

@@ -80,7 +80,7 @@ runDirection(const Direction &dir, const exp::sweep::ObservedGrid &grid)
                                             p->name()};
             first = false;
             for (auto t : dir.targets) {
-                Tick est = p->predict(base_cell.view(), t);
+                Tick est = p->predict(base_cell.record(), t);
                 double err =
                     pred::Predictor::relativeError(est, actual[t.toMHz()]);
                 errors[p->name()][t.toMHz()].push_back(err);

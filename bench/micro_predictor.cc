@@ -132,7 +132,7 @@ BM_TraceDecode(benchmark::State &state)
     const auto image = trace::encodeTrace(rec, {"micro", 42});
     for (auto _ : state) {
         auto loaded = trace::decodeTrace(image);
-        benchmark::DoNotOptimize(loaded.record().epochs.data());
+        benchmark::DoNotOptimize(loaded.epochs.data());
     }
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(image.size()));

@@ -68,7 +68,7 @@ runDirection(const Direction &dir, const exp::sweep::ObservedGrid &grid,
         for (auto t : dir.targets)
             targets.push_back({t, grid.at(w, t).totalTime});
 
-        auto cells = engine.evaluate(base_cell.view(), targets);
+        auto cells = engine.evaluate(base_cell.record(), targets);
 
         // Rows are predictor-major like fig3; cells are target-major.
         const auto names = engine.predictorNames();

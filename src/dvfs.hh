@@ -11,8 +11,8 @@
  *    wl::dacapoSuite, wl::syntheticSmall, wl::buildBenchmark)
  *  - canonical run harnesses (exp::runFixed / exp::runManaged /
  *    exp::RunOptions) and the sweep engine with trace-backed grids
- *  - the observation surface (pred::RunView) with both backends,
- *    predictors and the PredictorRegistry
+ *  - the observation surface (pred::RunRecord, which a loaded
+ *    trace::LoadedTrace also is), predictors and the PredictorRegistry
  *  - trace record/replay I/O (trace::writeTraceFile,
  *    trace::readTraceFile, trace::ReplayEngine)
  *  - report helpers (exp::Table) and criticality analysis
@@ -40,8 +40,8 @@
 // Prediction: observation surface, predictors, registry, analysis.
 #include "pred/criticality.hh"
 #include "pred/predictors.hh"
+#include "pred/record.hh"
 #include "pred/registry.hh"
-#include "pred/run_view.hh"
 
 // Trace record/replay.
 #include "trace/format.hh"

@@ -5,7 +5,6 @@
 
 #include "exp/sweep/fingerprint.hh"
 #include "pred/registry.hh"
-#include "pred/run_view.hh"
 #include "sim/log.hh"
 
 namespace dvfs::exp::sweep {
@@ -141,22 +140,20 @@ compareModes(const SweepSpec &spec, const sim::SamplingConfig &sampling,
             for (std::size_t s = 0; s < ss.size(); ++s) {
                 const auto &exBase = exact.at(w, std::size_t{0}, s);
                 const auto &smBase = sampled.at(w, std::size_t{0}, s);
-                pred::SampledView view(smBase.record, smBase.sampling);
-                pred::RecordView exView(exBase.record);
                 for (std::size_t f = 1; f < fs.size(); ++f) {
                     const auto &exTgt = exact.at(w, f, s);
                     const double actual =
                         static_cast<double>(exTgt.totalTime) /
                         static_cast<double>(exBase.totalTime);
                     const double predicted =
-                        static_cast<double>(p->predict(view, fs[f])) /
+                        static_cast<double>(p->predict(smBase.record, fs[f])) /
                         static_cast<double>(smBase.totalTime);
                     const double err =
                         std::fabs(predicted - actual) / actual * 100.0;
                     b.meanAbsPct += err;
                     b.maxAbsPct = std::max(b.maxAbsPct, err);
                     const double exPredicted =
-                        static_cast<double>(p->predict(exView, fs[f])) /
+                        static_cast<double>(p->predict(exBase.record, fs[f])) /
                         static_cast<double>(exBase.totalTime);
                     const double exErr =
                         std::fabs(exPredicted - actual) / actual * 100.0;

@@ -97,12 +97,10 @@ recordGrid(const SweepSpec &spec, const SweepRunner::Options &opts,
         ObservedCell cell;
         cell.freq = out.freq;
         cell.totalTime = out.totalTime;
-        // The view aliases the record inside `live`; the deleter
-        // captures `live` so a cell copied out of the grid keeps the
-        // backing sweep result alive on its own.
-        cell.run = std::shared_ptr<const pred::RunView>(
-            new pred::RecordView(out.record),
-            [live](const pred::RunView *v) { delete v; });
+        // Aliases the record inside `live` and shares its ownership,
+        // so a cell copied out of the grid keeps the sweep result
+        // alive on its own.
+        cell.run = std::shared_ptr<const pred::RunRecord>(live, &out.record);
         grid.cells.push_back(std::move(cell));
     }
     return grid;
@@ -127,9 +125,9 @@ loadGrid(const SweepSpec &spec, const std::string &dir)
         // silently poison every downstream number; cross-check the
         // cell coordinates.
         const std::string &want_wl = spec.workloads[c.workload].name;
-        if (loaded->meta().workload != want_wl ||
-            loaded->meta().seed != spec.seeds[c.seed] ||
-            loaded->baseFreq() != spec.frequencies[c.freq]) {
+        if (loaded->meta.workload != want_wl ||
+            loaded->meta.seed != spec.seeds[c.seed] ||
+            loaded->baseFreq != spec.frequencies[c.freq]) {
             throw trace::TraceError(
                 trace::TraceError::Kind::CellMismatch, 0,
                 "trace '" + cellPath(spec, dir, i) +
@@ -138,8 +136,8 @@ loadGrid(const SweepSpec &spec, const std::string &dir)
         }
 
         ObservedCell cell;
-        cell.freq = loaded->baseFreq();
-        cell.totalTime = loaded->totalTime();
+        cell.freq = loaded->baseFreq;
+        cell.totalTime = loaded->totalTime;
         cell.run = std::move(loaded);
         grid.cells.push_back(std::move(cell));
     }

@@ -5,7 +5,7 @@
  *
  * A figure harness needs two things per grid cell: the cell's total
  * execution time (ground truth) and, for base-frequency cells, the
- * full RunView a predictor consumes. ObservedGrid is that surface,
+ * full RunRecord a predictor consumes. ObservedGrid is that surface,
  * backed either by a live sweep (cells freshly simulated, optionally
  * persisted to .dvfstrace files) or by a trace directory (cells
  * loaded, zero simulation). fig3/ablation compute their tables from
@@ -26,20 +26,20 @@
 #include <vector>
 
 #include "exp/sweep/sweep.hh"
-#include "pred/run_view.hh"
+#include "pred/record.hh"
 #include "trace/reader.hh"
 
 namespace dvfs::exp::sweep {
 
-/** One observed grid cell: ground truth + the predictor view. */
+/** One observed grid cell: ground truth + the predictor input. */
 struct ObservedCell {
     Frequency freq;
     Tick totalTime = 0;
 
-    /** The predictor-observable surface of this cell's run. */
-    std::shared_ptr<const pred::RunView> run;
+    /** The predictor-observable record of this cell's run. */
+    std::shared_ptr<const pred::RunRecord> run;
 
-    const pred::RunView &view() const { return *run; }
+    const pred::RunRecord &record() const { return *run; }
 };
 
 /** A grid of observed cells, flattened exactly like SweepSpec. */

@@ -1,7 +1,5 @@
 #include "os/futex.hh"
 
-#include <algorithm>
-
 #include "sim/log.hh"
 
 namespace dvfs::os {
@@ -45,20 +43,6 @@ std::size_t
 FutexTable::waiters(SyncId f) const
 {
     return f < _queues.size() ? _queues[f].size() : 0;
-}
-
-bool
-FutexTable::remove(SyncId f, ThreadId tid)
-{
-    if (f >= _queues.size())
-        return false;
-    WaitQueue &q = _queues[f];
-    auto pos = std::find(q.begin(), q.end(), tid);
-    if (pos == q.end())
-        return false;
-    q.erase(pos);
-    --_waiting;
-    return true;
 }
 
 void

@@ -8,9 +8,9 @@
  * (who to wake, when) lives in the callers.
  *
  * Sync ids are allocated densely, so the queues live in a flat vector
- * indexed by id, and each queue keeps its first few waiters inline
- * (SmallVector): the wait/wake fast path performs no hashing and, in
- * steady state, no allocation.
+ * indexed by id, and each queue keeps its block once it has one: the
+ * wait/wake fast path performs no hashing and, in steady state, no
+ * allocation.
  */
 
 #ifndef DVFS_OS_FUTEX_HH
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "os/action.hh"
-#include "sim/small_vector.hh"
 
 namespace dvfs::os {
 
@@ -60,13 +59,6 @@ class FutexTable
     /** Number of threads parked on futex @p f. */
     std::size_t waiters(SyncId f) const;
 
-    /**
-     * Remove @p tid from whatever queue it is in (used only for
-     * diagnostics/teardown; normal operation never cancels waits).
-     * @return true if the thread was found and removed.
-     */
-    bool remove(SyncId f, ThreadId tid);
-
     /** Total threads parked across all futexes. */
     std::size_t totalWaiters() const { return _waiting; }
 
@@ -75,11 +67,10 @@ class FutexTable
 
   private:
     /**
-     * One futex's FIFO wait queue. Four inline slots cover the common
-     * case (a handful of threads per mutex/barrier); a queue that
-     * grows past that spills to the heap once and keeps the block.
+     * One futex's FIFO wait queue. It allocates on its first wait and
+     * keeps the block: wakes erase from the front without shrinking.
      */
-    using WaitQueue = sim::SmallVector<ThreadId, 4>;
+    using WaitQueue = std::vector<ThreadId>;
 
     SyncId _next = 0;
     std::vector<WaitQueue> _queues;  ///< indexed by SyncId, dense

@@ -192,9 +192,6 @@ class System
      */
     void setFaultPlan(fault::FaultPlan *plan);
 
-    /** The installed fault plan, or nullptr. */
-    fault::FaultPlan *faultPlan() const { return _faultPlan; }
-
     /**
      * Deliver a spurious wakeup to @p tid: the thread gets a brief
      * runnable episode and re-parks (user-space retry loop), keeping
@@ -233,14 +230,12 @@ class System
     sim::EventQueue &eventQueue() { return _eq; }
     Frequency frequency() const { return _coreDomain.frequency(); }
     const uarch::FreqDomain &coreDomain() const { return _coreDomain; }
-    const uarch::FreqDomain &uncoreDomain() const { return _uncoreDomain; }
     uarch::CacheHierarchy &memory() { return *_mem; }
     uarch::Dram &dram() { return _dram; }
     const SystemConfig &config() const { return _cfg; }
 
     std::size_t numThreads() const { return _threads.size(); }
     const Thread &thread(ThreadId tid) const { return *_threads.at(tid); }
-    Thread &threadMut(ThreadId tid) { return *_threads.at(tid); }
 
     /** Sum of all threads' counters. */
     uarch::PerfCounters totalCounters() const;
@@ -257,12 +252,6 @@ class System
     const sim::SamplingController *sampling() const
     {
         return _sampler.get();
-    }
-
-    /** Fast-path model, or nullptr when running exact. */
-    const uarch::FastPathModel *fastPath() const
-    {
-        return _fastPath.get();
     }
     /// @}
 

@@ -47,11 +47,11 @@ MCritPredictor::name() const
 }
 
 Tick
-MCritPredictor::predict(const RunView &run, Frequency target) const
+MCritPredictor::predict(const RunRecord &run, Frequency target) const
 {
-    const double ratio = freqRatio(run.baseFreq(), target);
+    const double ratio = freqRatio(run.baseFreq, target);
     Tick best = 0;
-    for (const ThreadSummary &t : run.threads()) {
+    for (const ThreadSummary &t : run.threads) {
         // A thread's "execution time" is its lifetime span: without
         // epoch decomposition, futex wait time is indistinguishable
         // from running time and lands in the scaling component — the
@@ -81,18 +81,18 @@ CoopPredictor::name() const
 }
 
 Tick
-CoopPredictor::predict(const RunView &run, Frequency target) const
+CoopPredictor::predict(const RunRecord &run, Frequency target) const
 {
-    const double ratio = freqRatio(run.baseFreq(), target);
-    const std::vector<Epoch> &epochs = run.epochs();
-    const std::vector<ThreadSummary> &threads = run.threads();
+    const double ratio = freqRatio(run.baseFreq, target);
+    const std::vector<Epoch> &epochs = run.epochs;
+    const std::vector<ThreadSummary> &threads = run.threads;
 
     // Phase boundaries: 0, each GC mark, end of run.
     std::vector<Tick> cuts;
     cuts.push_back(0);
-    for (const GcPhaseMark &m : run.gcMarks())
+    for (const GcPhaseMark &m : run.gcMarks)
         cuts.push_back(m.tick);
-    cuts.push_back(run.totalTime());
+    cuts.push_back(run.totalTime);
 
     // Per phase, aggregate per-thread counter deltas from the epochs
     // inside the phase, then apply M+CRIT within the phase.
@@ -156,8 +156,11 @@ DepPredictor::name() const
         n += "+BURST";
     if (!_acrossEpochs)
         n += "(per-epoch CTP)";
-    if (_spec.base != BaseEstimator::Crit)
-        n += "[" + std::string(baseEstimatorName(_spec.base)) + "]";
+    if (_spec.base != BaseEstimator::Crit) {
+        n += '[';
+        n += baseEstimatorName(_spec.base);
+        n += ']';
+    }
     return n;
 }
 
@@ -298,10 +301,10 @@ DepPredictor::accumulateTerms(const EpochTerms &terms, double ratio,
 }
 
 Tick
-DepPredictor::predict(const RunView &run, Frequency target) const
+DepPredictor::predict(const RunRecord &run, Frequency target) const
 {
-    const double ratio = freqRatio(run.baseFreq(), target);
-    const std::vector<Epoch> &epochs = run.epochs();
+    const double ratio = freqRatio(run.baseFreq, target);
+    const std::vector<Epoch> &epochs = run.epochs;
     return predictEpochRange(epochs, 0, epochs.size(), ratio);
 }
 

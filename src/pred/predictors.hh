@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "pred/record.hh"
-#include "pred/run_view.hh"
 #include "pred/scaling.hh"
 #include "sim/time.hh"
 
@@ -41,9 +40,9 @@ namespace dvfs::pred {
 /**
  * Interface of a whole-run execution-time predictor.
  *
- * Predictors observe a run exclusively through the RunView interface
- * (run_view.hh), so the same instance predicts from a live RunRecord
- * or from a loaded .dvfstrace with bit-identical results.
+ * Predictors observe a run only through the five fields of its
+ * RunRecord (record.hh), so the same instance predicts from a live
+ * record or from a loaded .dvfstrace with bit-identical results.
  */
 class Predictor
 {
@@ -54,14 +53,7 @@ class Predictor
     virtual std::string name() const = 0;
 
     /** Estimate total execution time at @p target. */
-    virtual Tick predict(const RunView &run, Frequency target) const = 0;
-
-    /** Convenience overload for the live in-memory backend. */
-    Tick
-    predict(const RunRecord &rec, Frequency target) const
-    {
-        return predict(RecordView(rec), target);
-    }
+    virtual Tick predict(const RunRecord &run, Frequency target) const = 0;
 
     /** Signed relative error vs. @p actual: estimated/actual - 1. */
     static double
@@ -81,9 +73,8 @@ class MCritPredictor : public Predictor
   public:
     explicit MCritPredictor(ModelSpec spec) : _spec(spec) {}
 
-    using Predictor::predict;
     std::string name() const override;
-    Tick predict(const RunView &run, Frequency target) const override;
+    Tick predict(const RunRecord &run, Frequency target) const override;
 
   private:
     ModelSpec _spec;
@@ -98,9 +89,8 @@ class CoopPredictor : public Predictor
   public:
     explicit CoopPredictor(ModelSpec spec) : _spec(spec) {}
 
-    using Predictor::predict;
     std::string name() const override;
-    Tick predict(const RunView &run, Frequency target) const override;
+    Tick predict(const RunRecord &run, Frequency target) const override;
 
   private:
     ModelSpec _spec;
@@ -162,9 +152,8 @@ class DepPredictor : public Predictor
     {
     }
 
-    using Predictor::predict;
     std::string name() const override;
-    Tick predict(const RunView &run, Frequency target) const override;
+    Tick predict(const RunRecord &run, Frequency target) const override;
 
     /**
      * Predict the duration of a contiguous span of epochs — the

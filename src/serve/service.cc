@@ -105,10 +105,10 @@ Service::handleUpload(const net::UploadTraceReq &req)
     net::UploadTraceResp resp;
     resp.traceDigest = put.digest;
     resp.alreadyCached = put.alreadyCached ? 1 : 0;
-    resp.baseMHz = put.trace->baseFreq().toMHz();
-    resp.totalTime = put.trace->totalTime();
-    resp.epochs = put.trace->epochs().size();
-    resp.threads = put.trace->threads().size();
+    resp.baseMHz = put.trace->baseFreq.toMHz();
+    resp.totalTime = put.trace->totalTime;
+    resp.epochs = put.trace->epochs.size();
+    resp.threads = put.trace->threads.size();
     return resp;
 }
 
@@ -126,7 +126,7 @@ Service::handlePredict(const net::PredictReq &req)
         *trace, {{Frequency::mhz(req.targetMHz), 0}});
 
     net::PredictResp resp;
-    resp.baseTotalTime = trace->totalTime();
+    resp.baseTotalTime = trace->totalTime;
     resp.cells.reserve(cells.size());
     for (const trace::ReplayCell &c : cells)
         resp.cells.push_back({c.predictor, c.predicted});

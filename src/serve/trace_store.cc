@@ -7,13 +7,12 @@ namespace dvfs::serve {
 std::size_t
 TraceStore::footprint(const trace::LoadedTrace &t)
 {
-    const pred::RunRecord &rec = t.record();
     std::size_t bytes = sizeof(trace::LoadedTrace);
-    bytes += rec.threads.size() * sizeof(pred::ThreadSummary);
-    bytes += rec.gcMarks.size() * sizeof(pred::GcPhaseMark);
-    bytes += rec.events.size() * sizeof(rec.events[0]);
-    bytes += rec.epochs.size() * sizeof(pred::Epoch);
-    bytes += rec.arena->bytes();
+    bytes += t.threads.size() * sizeof(pred::ThreadSummary);
+    bytes += t.gcMarks.size() * sizeof(pred::GcPhaseMark);
+    bytes += t.events.size() * sizeof(t.events[0]);
+    bytes += t.epochs.size() * sizeof(pred::Epoch);
+    bytes += t.arena->bytes();
     return bytes;
 }
 

@@ -3,7 +3,7 @@
  * The .dvfstrace on-disk format: constants, header layout, TraceError.
  *
  * A trace file persists everything a predictor may legally observe
- * about one recorded run (the pred::RunView surface plus identifying
+ * about one recorded run (the pred::RunRecord fields plus identifying
  * metadata), so predictor evaluation can replay a run offline without
  * re-simulating it. The format is versioned, sectioned and digested:
  *

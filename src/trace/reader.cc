@@ -224,8 +224,8 @@ decodeTrace(const std::vector<std::uint8_t> &image)
     Cursor c(payload, payload_size, kTraceHeaderBytes);
     const std::uint32_t sections = c.u32();
 
-    TraceMeta meta;
-    pred::RunRecord rec;
+    LoadedTrace out;
+    pred::RunRecord &rec = out;
     bool have_meta = false, have_threads = false, have_epochs = false,
          have_gc = false;
 
@@ -242,7 +242,7 @@ decodeTrace(const std::vector<std::uint8_t> &image)
         c.skip(length);
         switch (static_cast<SectionId>(id)) {
           case SectionId::Meta:
-            decodeMeta(body, meta, rec);
+            decodeMeta(body, out.meta, rec);
             requireConsumed(body, "meta");
             have_meta = true;
             break;
@@ -285,7 +285,8 @@ decodeTrace(const std::vector<std::uint8_t> &image)
                          "record section absent");
     }
 
-    return LoadedTrace(std::move(meta), std::move(rec), stored_digest);
+    out.payloadDigest = stored_digest;
+    return out;
 }
 
 LoadedTrace

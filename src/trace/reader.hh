@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace reader: validate and load a .dvfstrace into a pred::RunView.
+ * Trace reader: validate and load a .dvfstrace into a pred::RunRecord.
  *
  * The reader is strict before it is lenient: magic, version, reserved
  * fields and the FNV-1a payload digest are checked before any section
@@ -22,64 +22,19 @@
 #include <vector>
 
 #include "pred/record.hh"
-#include "pred/run_view.hh"
 #include "trace/format.hh"
 #include "trace/writer.hh"
 
 namespace dvfs::trace {
 
 /**
- * A run loaded from a .dvfstrace file — the offline RunView backend.
- *
- * Owns the deserialized record; views handed to predictors stay valid
- * for the lifetime of the LoadedTrace.
+ * A run loaded from a .dvfstrace file: the reconstructed record (equal
+ * field-by-field to the source), so it binds wherever a predictor or
+ * the replay engine takes a pred::RunRecord, plus what the file adds.
  */
-class LoadedTrace final : public pred::RunView
-{
-  public:
-    LoadedTrace() = default;
-    LoadedTrace(TraceMeta meta, pred::RunRecord rec,
-                std::uint64_t payload_digest)
-        : _meta(std::move(meta)), _rec(std::move(rec)),
-          _digest(payload_digest)
-    {
-    }
-
-    /** Identifying metadata (workload name, seed). */
-    const TraceMeta &meta() const { return _meta; }
-
-    /** The reconstructed record (equal field-by-field to the source). */
-    const pred::RunRecord &record() const { return _rec; }
-
-    /** The verified payload digest from the file header. */
-    std::uint64_t payloadDigest() const { return _digest; }
-
-    // RunView surface.
-    Frequency baseFreq() const override { return _rec.baseFreq; }
-    Tick totalTime() const override { return _rec.totalTime; }
-
-    const std::vector<pred::Epoch> &
-    epochs() const override
-    {
-        return _rec.epochs;
-    }
-
-    const std::vector<pred::ThreadSummary> &
-    threads() const override
-    {
-        return _rec.threads;
-    }
-
-    const std::vector<pred::GcPhaseMark> &
-    gcMarks() const override
-    {
-        return _rec.gcMarks;
-    }
-
-  private:
-    TraceMeta _meta;
-    pred::RunRecord _rec;
-    std::uint64_t _digest = 0;
+struct LoadedTrace : pred::RunRecord {
+    TraceMeta meta;                  ///< workload name, seed
+    std::uint64_t payloadDigest = 0; ///< verified digest from the header
 };
 
 /**

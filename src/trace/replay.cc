@@ -26,7 +26,7 @@ ReplayEngine::predictorNames() const
 }
 
 std::vector<ReplayCell>
-ReplayEngine::evaluate(const pred::RunView &base,
+ReplayEngine::evaluate(const pred::RunRecord &base,
                        const std::vector<ReplayTarget> &targets) const
 {
     std::vector<ReplayCell> cells;

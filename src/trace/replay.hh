@@ -9,7 +9,7 @@
  * is known (from a recorded run of the same workload/seed at that
  * frequency), the replay also produces the signed relative error —
  * bit-identical to what the live path computes, because predictors
- * are pure functions of the RunView and the trace round-trips every
+ * are pure functions of the RunRecord and the trace round-trips every
  * observed field exactly.
  */
 
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "pred/predictors.hh"
-#include "pred/run_view.hh"
 #include "sim/time.hh"
 
 namespace dvfs::trace {
@@ -76,7 +75,7 @@ class ReplayEngine
      * at targets[0], then all at targets[1], ...
      */
     std::vector<ReplayCell>
-    evaluate(const pred::RunView &base,
+    evaluate(const pred::RunRecord &base,
              const std::vector<ReplayTarget> &targets) const;
 
   private:

@@ -2,8 +2,8 @@
  * @file
  * Trace writer: serialize one recorded run to the .dvfstrace format.
  *
- * The writer persists the full pred::RunView observation surface of a
- * run (epochs with per-thread counter deltas, thread summaries, GC
+ * The writer persists a whole pred::RunRecord (base frequency, total
+ * time, epochs with per-thread counter deltas, thread summaries, GC
  * marks, and the raw sync-event trace when it was recorded) plus
  * identifying metadata, under the layout documented in format.hh.
  * Serialization is fully deterministic: the same record and metadata

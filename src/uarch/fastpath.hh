@@ -265,10 +265,6 @@ class FastPathModel
 
     /// @name Introspection (tests, diagnostics)
     /// @{
-    std::size_t clusterShapes() const
-    {
-        return _points[_cur].clusters.size();
-    }
     std::uint64_t observedClusters() const { return _observedClusters; }
     std::uint64_t observedBurstLines() const { return _observedLines; }
     /// @}

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "os/futex.hh"
 #include "os/scheduler.hh"
 
@@ -49,17 +51,38 @@ TEST(FutexTable, WakeOnEmptyFutexReturnsNothing)
     EXPECT_TRUE(t.wake(12345, 1).empty());
 }
 
-TEST(FutexTable, RemoveSpecificWaiter)
+TEST(FutexTable, LongQueueStaysFifoAcrossPartialWakes)
 {
+    // More waiters than a mutex or barrier usually holds, with waits
+    // and partial wakes interleaved, so the queue grows while it is
+    // being drained from the front.
     FutexTable t;
     SyncId f = t.allocate();
-    t.wait(f, 1);
-    t.wait(f, 2);
-    EXPECT_TRUE(t.remove(f, 1));
-    EXPECT_FALSE(t.remove(f, 1));
-    auto w = t.wake(f, 10);
-    ASSERT_EQ(w.size(), 1u);
-    EXPECT_EQ(w[0], 2u);
+    SyncId other = t.allocate();
+    t.wait(other, 99);
+    for (ThreadId tid = 1; tid <= 6; ++tid)
+        t.wait(f, tid);
+    EXPECT_EQ(t.waiters(f), 6u);
+    EXPECT_EQ(t.totalWaiters(), 7u);
+
+    EXPECT_EQ(t.wake(f, 2), (std::vector<ThreadId>{1, 2}));
+    for (ThreadId tid = 7; tid <= 12; ++tid)
+        t.wait(f, tid);
+    EXPECT_EQ(t.waiters(f), 10u);
+    EXPECT_EQ(t.totalWaiters(), 11u);
+
+    std::vector<ThreadId> out;
+    EXPECT_EQ(t.wake(f, 3, out), 3u);
+    EXPECT_EQ(out, (std::vector<ThreadId>{3, 4, 5}));
+    t.wait(f, 13);
+    EXPECT_EQ(t.totalWaiters(), 9u);
+
+    EXPECT_EQ(t.wake(f, 100),
+              (std::vector<ThreadId>{6, 7, 8, 9, 10, 11, 12, 13}));
+    EXPECT_EQ(t.waiters(f), 0u);
+    EXPECT_EQ(t.totalWaiters(), 1u);
+    EXPECT_EQ(t.wake(other, 1), (std::vector<ThreadId>{99}));
+    EXPECT_EQ(t.totalWaiters(), 0u);
 }
 
 TEST(FutexTable, TotalWaitersAcrossFutexes)

@@ -73,7 +73,7 @@ allErrors(const ObservedGrid &grid)
         std::vector<trace::ReplayTarget> targets = {
             {target, grid.at(w, target).totalTime}};
         for (const auto &cell :
-             engine.evaluate(grid.at(w, base).view(), targets))
+             engine.evaluate(grid.at(w, base).record(), targets))
             errs.push_back(cell.error);
     }
     return errs;
@@ -220,7 +220,7 @@ TEST(ReplayGrid, ReplayEngineOrdersCellsTargetMajor)
         {Frequency::ghz(1.0), 0},  // no ground truth
     };
     auto cells =
-        engine.evaluate(grid.at(0, Frequency::ghz(1.0)).view(), targets);
+        engine.evaluate(grid.at(0, Frequency::ghz(1.0)).record(), targets);
     ASSERT_EQ(cells.size(), names.size() * targets.size());
     for (std::size_t t = 0; t < targets.size(); ++t) {
         for (std::size_t p = 0; p < names.size(); ++p) {

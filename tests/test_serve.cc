@@ -123,7 +123,7 @@ TEST(TraceStore, PutIsIdempotentByDigest)
     EXPECT_FALSE(first.alreadyCached);
     EXPECT_EQ(first.digest, trace::tracePayloadDigest(image));
     ASSERT_NE(first.trace, nullptr);
-    EXPECT_EQ(first.trace->meta().seed, 7u);
+    EXPECT_EQ(first.trace->meta.seed, 7u);
 
     auto again = store.put(image);
     EXPECT_TRUE(again.alreadyCached);
@@ -204,7 +204,7 @@ TEST(ServeService, ServedPredictionsMatchDirectReplay)
     // The ground truth: a direct ReplayEngine evaluation of the trace.
     trace::ReplayEngine engine;
     const auto loaded = trace::decodeTrace(image);
-    EXPECT_EQ(upr->totalTime, loaded.totalTime());
+    EXPECT_EQ(upr->totalTime, loaded.totalTime);
 
     net::PredictReq pq;
     pq.traceDigest = upr->traceDigest;
@@ -212,7 +212,7 @@ TEST(ServeService, ServedPredictionsMatchDirectReplay)
     Frame pReply = service.handle(Frame::request(2, pq));
     const auto *pr = std::get_if<net::PredictResp>(&pReply.body);
     ASSERT_NE(pr, nullptr);
-    EXPECT_EQ(pr->baseTotalTime, loaded.totalTime());
+    EXPECT_EQ(pr->baseTotalTime, loaded.totalTime);
 
     auto direct = engine.evaluate(loaded, {{Frequency::mhz(4000), 0}});
     ASSERT_EQ(pr->cells.size(), direct.size());

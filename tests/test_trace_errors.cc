@@ -208,9 +208,9 @@ TEST(TraceErrors, UnknownSectionIsSkipped)
     resealDigest(extended);
 
     auto after = trace::decodeTrace(extended);
-    EXPECT_EQ(after.record().totalTime, before.record().totalTime);
-    EXPECT_EQ(after.record().epochs.size(), before.record().epochs.size());
-    EXPECT_EQ(after.meta().workload, before.meta().workload);
+    EXPECT_EQ(after.totalTime, before.totalTime);
+    EXPECT_EQ(after.epochs.size(), before.epochs.size());
+    EXPECT_EQ(after.meta.workload, before.meta.workload);
 }
 
 TEST(TraceErrors, MissingFileIsIoError)

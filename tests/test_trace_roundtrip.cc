@@ -6,8 +6,8 @@
  * The bit-identity contract of the replay path rests on two facts
  * checked here: (1) encode/decode round-trips every RunRecord field
  * the observation API exposes, including the raw sync-event trace when
- * it was kept, and (2) predictors are pure functions of the RunView,
- * so a LoadedTrace and a live RecordView over the same run yield
+ * it was kept, and (2) predictors are pure functions of the RunRecord,
+ * so a LoadedTrace and the live record of the same run yield
  * bit-identical predictions. A pinned golden payload digest makes the
  * serialization itself part of the repo's determinism witness.
  */
@@ -19,7 +19,6 @@
 
 #include "exp/experiment.hh"
 #include "pred/registry.hh"
-#include "pred/run_view.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
 #include "wl/suite.hh"
@@ -121,10 +120,10 @@ TEST(TraceRoundtrip, EveryObservedFieldSurvives)
     auto image = trace::encodeTrace(out.record, {"roundtrip", 7});
     auto loaded = trace::decodeTrace(image);
 
-    EXPECT_EQ(loaded.meta().workload, "roundtrip");
-    EXPECT_EQ(loaded.meta().seed, 7u);
-    EXPECT_EQ(loaded.payloadDigest(), trace::tracePayloadDigest(image));
-    expectRecordsEq(out.record, loaded.record());
+    EXPECT_EQ(loaded.meta.workload, "roundtrip");
+    EXPECT_EQ(loaded.meta.seed, 7u);
+    EXPECT_EQ(loaded.payloadDigest, trace::tracePayloadDigest(image));
+    expectRecordsEq(out.record, loaded);
 }
 
 TEST(TraceRoundtrip, EventlessRecordOmitsEventSection)
@@ -138,7 +137,7 @@ TEST(TraceRoundtrip, EventlessRecordOmitsEventSection)
 
     auto loaded =
         trace::decodeTrace(trace::encodeTrace(out.record, {"ev0", 1}));
-    expectRecordsEq(out.record, loaded.record());
+    expectRecordsEq(out.record, loaded);
 }
 
 TEST(TraceRoundtrip, PredictionsBitIdenticalToLiveView)
@@ -147,7 +146,7 @@ TEST(TraceRoundtrip, PredictionsBitIdenticalToLiveView)
     auto loaded =
         trace::decodeTrace(trace::encodeTrace(out.record, {"bits", 42}));
 
-    pred::RecordView live(out.record);
+    const pred::RunRecord &live = out.record;
     for (const auto &p :
          pred::PredictorRegistry::instance().figure3Set()) {
         for (double ghz : {2.0, 3.0, 4.0}) {
@@ -173,8 +172,8 @@ TEST(TraceRoundtrip, FileRoundTrip)
 
     trace::writeTraceFile(path, out.record, {"file_rt", 9});
     auto loaded = trace::readTraceFile(path);
-    EXPECT_EQ(loaded.meta().workload, "file_rt");
-    expectRecordsEq(out.record, loaded.record());
+    EXPECT_EQ(loaded.meta.workload, "file_rt");
+    expectRecordsEq(out.record, loaded);
     std::remove(path.c_str());
 }
 
